@@ -258,7 +258,6 @@ def _cmd_minimize(args):
     res = en.minimize(lat, pot, args.N, restarts=args.restarts,
                       max_iters=args.max_iters, seed=args.seed,
                       tol_grad=args.tol_grad, tol=tol)
-    plan = kn.plan_ewald(lat, pot, tol)
     payload = {
         "best_energy": _fmt(res.best_energy),
         "points": res.best_config.points,
@@ -267,7 +266,7 @@ def _cmd_minimize(args):
         "restart_energies": [_fmt(e) for e in res.restart_energies],
         "seed": args.seed,
         "lattice": lat.to_json_dict(),
-        **_provenance(plan),
+        **_provenance(res.plan),
     }
     _write_output(payload, args.out, args.format)
     return 0

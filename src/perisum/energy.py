@@ -47,6 +47,8 @@ class Configuration:
             raise InvalidN("configuration needs at least one point")
         if pts.shape[1] != self.lattice.dimension:
             raise ValueError("points have wrong dimension for the lattice")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
         self.points = self.lattice.reduce_frac(pts)
 
     @property
@@ -93,10 +95,13 @@ class EnergyReport:
 
 @dataclass
 class MinimizeResult:
+    """Best restart of a minimization, with the plan every restart used."""
+
     best_config: Configuration
     best_energy: float
     restarts_used: int
     converged: bool
+    plan: kn.EwaldPlan
     trajectory_summary: list = field(default_factory=list)
     restart_energies: list = field(default_factory=list)
 
@@ -262,6 +267,7 @@ def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
         best_energy=e,
         restarts_used=restarts,
         converged=conv,
+        plan=plan,
         trajectory_summary=best_traj if keep_trajectory else [],
         restart_energies=restart_energies,
     )

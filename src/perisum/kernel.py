@@ -18,6 +18,14 @@ checks numerically.  The log-Riesz kernel is 2 d/ds of the Riesz kernel
 small central difference), the logarithmic kernel replaces the gamma terms
 by E1 and Gamma(d/2, .), and the Gaussian kernel is an absolutely
 convergent direct sum minus its lattice-average constant.
+
+evaluate_batch makes one pass over blocks of difference rows, each block
+holding at most _BLOCK_PAIR_IMAGES (row, direct image) pairs, so its
+memory does not grow with the batch.  Within a block the distances, the
+regularized Q(s/2, eta r^2), r^-s and exp(-eta r^2) (and, for log-Riesz,
+log r and the sigma-stencil) are computed once and serve both the value
+and the gradient.  Q(1/2, x) = erfc(sqrt x), the d = 3 Coulomb case, is
+taken from specfun without scipy's general incomplete gamma.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy import special as sc
 
 from . import specfun as sf
 from .errors import (
@@ -62,6 +71,9 @@ __all__ = [
 
 _SINGULAR_EPS = 1e-13  # |q + v| below this counts as a lattice point
 _SIGMA_STEP = 1e-3     # step of the 4th-order d/dsigma Gamma(sigma, x) stencil
+# rows x images per block of evaluate_batch: bounds its temporaries to
+# about 12 MiB whatever the batch size
+_BLOCK_PAIR_IMAGES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +222,12 @@ def _sphere_area_coeff(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _direct_envelope(pot, eta, d):
+def _direct_envelope(pot, eta):
     """Magnitude of one real-space term as a function of distance."""
-    if isinstance(pot, Riesz):
-        s = pot.s
-
+    if isinstance(pot, (Riesz, LogRiesz)):
         def env(r):
-            from scipy.special import gammaincc
-            return float(gammaincc(s / 2.0, eta * r * r)) * r ** (-s)
-
-        return env, eta
-    if isinstance(pot, LogRiesz):
-        s = pot.s
-
-        def env(r):
-            _, t2 = _riesz_direct_terms(np.array([r]), s, eta, d, want_ds=True)
-            return abs(float(t2[0]))
+            t, _ = _direct_terms(pot, eta, r)
+            return abs(float(t))
 
         return env, eta
     if isinstance(pot, Log):
@@ -300,7 +302,7 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
     margin = lat.half_cell_diameter
     shortest = float(np.min(np.linalg.norm(lat.basis, axis=0)))
 
-    env_dir, rate_dir = _direct_envelope(pot, eta, d)
+    env_dir, rate_dir = _direct_envelope(pot, eta)
     span_dir = 10.0 + 6.0 / math.sqrt(rate_dir)
     r_cut = max(shortest, margin + 1.0)
     r_max = 60.0 * max(1.0, 1.0 / math.sqrt(rate_dir))
@@ -361,49 +363,55 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
 # ---------------------------------------------------------------------------
 
 
-def _riesz_direct_terms(r, s, eta, d, want_ds=False):
-    """Per-vector real-space terms of the Riesz kernel at distances r,
-    already divided by Gamma(s/2); optionally also 2 d/ds of each term."""
-    from scipy.special import gammaincc
+def _direct_terms(pot, eta, r, want_grad=False):
+    """Real-space terms at distances r, an array with lattice points already
+    masked out or a scalar, and with want_grad the radial factor g'(r)/r,
+    so that each term's gradient is radial * (q + v).
 
-    x = eta * r * r
-    reg = gammaincc(s / 2.0, x)
-    rpow = r ** (-s)
-    t = reg * rpow
-    if not want_ds:
+    Each special-function value and power of r is computed once and shared
+    by the term and its radial factor.  Riesz terms are already divided by
+    Gamma(s/2); log-Riesz terms are 2 d/ds of them.
+    """
+    r2 = r * r
+    if isinstance(pot, Gaussian):
+        t = np.exp(-pot.c * r2)
+        return t, (-2.0 * pot.c * t if want_grad else None)
+    x = eta * r2
+    if isinstance(pot, Log):
+        t = sc.exp1(x)
+        return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
+    if not isinstance(pot, (Riesz, LogRiesz)):
+        raise TypeError(f"not a potential: {pot!r}")
+    s = pot.s
+    sig = 0.5 * s
+    rpow = r ** -s
+    t = sf.gamma_upper_reg_vec(sig, x) * rpow
+    if isinstance(pot, Riesz) and not want_grad:
         return t, None
-    gs = math.gamma(s / 2.0)
-    psi = sf.digamma(s / 2.0)
-    dsig = sf.gamma_upper_dsigma_vec(s / 2.0, x, _SIGMA_STEP)
-    t2 = dsig * rpow / gs - 2.0 * np.log(r) * t - psi * t
-    return t, t2
-
-
-def _riesz_direct_radial(r, s, eta, d, want_ds=False):
-    """g'(r)/r for the gradient: the direct term's radial derivative divided
-    by r, so each gradient contribution is radial(r) * (q + v)."""
-    from scipy.special import gammaincc
-
-    x = eta * r * r
-    gs = math.gamma(s / 2.0)
-    reg = gammaincc(s / 2.0, x)
-    expx = np.exp(-x)
-    # g'(r) = -2 eta^(s/2) e^(-eta r^2) / (r Gamma(s/2)) - s reg r^(-s-1)
-    term1 = -2.0 * eta ** (s / 2.0) * expx / (r * gs)
-    gp = term1 - s * reg * r ** (-s - 1.0)
-    radial = gp / r
-    if not want_ds:
-        return radial, None
-    psi = sf.digamma(s / 2.0)
-    G = sf.gamma_upper_vec(s / 2.0, x)
-    dsig = sf.gamma_upper_dsigma_vec(s / 2.0, x, _SIGMA_STEP)
-    lr = np.log(r)
-    rpow1 = r ** (-s - 1.0)
-    dterm1 = term1 * (0.5 * math.log(eta) - 0.5 * psi)
-    dterm2 = (-G * rpow1 - 0.5 * s * dsig * rpow1 + s * G * lr * rpow1
-              + 0.5 * s * G * rpow1 * psi) / gs
-    radial2 = 2.0 * (dterm1 + dterm2) / r
-    return radial, radial2
+    gs = math.gamma(sig)
+    # Riesz radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
+    c1 = 2.0 * eta**sig / gs
+    if isinstance(pot, Riesz):
+        radial = np.exp(-x)
+        radial *= c1
+        radial += s * t
+        radial /= r2
+        return t, np.negative(radial, out=radial)
+    psi = sf.digamma(sig)
+    t2 = sf.gamma_upper_dsigma_vec(sig, x, _SIGMA_STEP)
+    t2 *= rpow
+    t2 /= gs
+    t2 -= 2.0 * np.log(r) * t
+    t2 -= psi * t
+    if not want_grad:
+        return t2, None
+    # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
+    radial = np.exp(-x)
+    radial *= c1 * (math.log(eta) - psi)
+    radial += 2.0 * t
+    radial += s * t2
+    radial /= r2
+    return t2, np.negative(radial, out=radial)
 
 
 def _riesz_dual_coeffs(k, s, eta, d, want_ds=False):
@@ -422,15 +430,6 @@ def _riesz_dual_coeffs(k, s, eta, d, want_ds=False):
     dsig = sf.gamma_upper_dsigma_vec((d - s) / 2.0, z, _SIGMA_STEP)
     a2 = 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
     return a, a2
-
-
-def _log_direct_terms(r, eta, d):
-    from scipy.special import exp1
-    return exp1(eta * r * r)
-
-
-def _log_direct_radial(r, eta, d):
-    return -2.0 * np.exp(-eta * r * r) / (r * r)
 
 
 def _log_dual_coeffs(k, eta, d):
@@ -515,59 +514,48 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
     if d != lat.dimension:
         raise DimensionMismatch("difference vectors have wrong dimension")
     eta = plan.eta
-
-    V = plan.direct_vectors
-    R = Q[:, None, :] + V[None, :, :]
-    r = np.linalg.norm(R, axis=2)
-    degenerate = r.min(axis=1) < _SINGULAR_EPS
-    rsafe = np.where(r < _SINGULAR_EPS, 1.0, r)
-
-    if isinstance(pot, Riesz):
-        t, _ = _riesz_direct_terms(rsafe, pot.s, eta, d)
-    elif isinstance(pot, LogRiesz):
-        _, t = _riesz_direct_terms(rsafe, pot.s, eta, d, want_ds=True)
-    elif isinstance(pot, Log):
-        t = _log_direct_terms(rsafe, eta, d)
-    elif isinstance(pot, Gaussian):
-        t = np.exp(-pot.c * r * r)  # finite at r = 0, no masking needed
-    else:
-        raise TypeError(f"not a potential: {pot!r}")
-    values = t.sum(axis=1)
+    singular = _is_singular(pot)
 
     W = plan.dual_vectors_half
-    a = None
     if W.shape[0]:
         kn = plan.dual_norms_half
-        phase = 2.0 * math.pi * (Q @ W.T)
-        cosp = np.cos(phase)
         if isinstance(pot, Riesz):
             a, _ = _riesz_dual_coeffs(kn, pot.s, eta, d)
         elif isinstance(pot, LogRiesz):
             _, a = _riesz_dual_coeffs(kn, pot.s, eta, d, want_ds=True)
         else:
             a = _log_dual_coeffs(kn, eta, d)
-        values = values + 2.0 * (cosp @ a)
-    values = values + _eta_constant(pot, eta, d)
 
-    grads = None
-    if want_grad:
-        if isinstance(pot, Riesz):
-            radial, _ = _riesz_direct_radial(rsafe, pot.s, eta, d)
-        elif isinstance(pot, LogRiesz):
-            _, radial = _riesz_direct_radial(rsafe, pot.s, eta, d, want_ds=True)
-        elif isinstance(pot, Log):
-            radial = _log_direct_radial(rsafe, eta, d)
-        else:
-            radial = -2.0 * pot.c * np.exp(-pot.c * r * r)
-        grads = np.einsum("nv,nvd->nd", radial, R)
+    # component-major (d, rows, images) differences keep every inner loop
+    # over the long image axis
+    VT = np.ascontiguousarray(plan.direct_vectors.T)
+    QT = np.ascontiguousarray(Q.T)
+    step = max(1, _BLOCK_PAIR_IMAGES // max(VT.shape[1], W.shape[0]))
+    values = np.empty(n)
+    grads = np.empty((n, d)) if want_grad else None
+    degenerate = np.zeros(n, dtype=bool)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        R = QT[:, rows, None] + VT[:, None, :]
+        r = np.sqrt(np.einsum("knv,knv->nv", R, R))
+        on_lattice = r < _SINGULAR_EPS
+        degenerate[rows] = on_lattice.any(axis=1)
+        if singular and degenerate[rows].any():
+            r[on_lattice] = 1.0  # keeps the terms finite; rows reset below
+        t, radial = _direct_terms(pot, eta, r, want_grad)
+        values[rows] = t.sum(axis=1)
+        if want_grad:
+            grads[rows] = np.einsum("nv,knv->nk", radial, R)
         if W.shape[0]:
-            sinp = np.sin(phase)
-            grads = grads - 4.0 * math.pi * ((sinp * a[None, :]) @ W)
-        if degenerate.any():
-            grads[degenerate] = 0.0
+            phase = 2.0 * math.pi * (Q[rows] @ W.T)
+            values[rows] += 2.0 * (np.cos(phase) @ a)
+            if want_grad:
+                grads[rows] -= 4.0 * math.pi * ((np.sin(phase) * a) @ W)
+    values += _eta_constant(pot, eta, d)
 
-    if degenerate.any() and _is_singular(pot):
-        values = values.copy()
+    if want_grad:
+        grads[degenerate] = 0.0
+    if singular:
         values[degenerate] = math.inf
     return values, grads, degenerate
 
@@ -690,7 +678,7 @@ def epstein_zeta(lat, s, tol=1e-12):
         raise PolePoint("Epstein zeta has its pole at s = d")
     plan = plan_ewald(lat, Riesz(s), tol, 1.0)
     shells = enumerate_shells(lat, "direct", plan.r_cut, include_origin=False)
-    t, _ = _riesz_direct_terms(shells.norms, s, 1.0, d)
+    t, _ = _direct_terms(Riesz(s), 1.0, shells.norms)
     direct = float(t.sum())
     a, _ = _riesz_dual_coeffs(plan.dual_norms_half, s, 1.0, d)
     dual = 2.0 * float(a.sum())

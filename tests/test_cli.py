@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from perisum import cli
+from perisum import kernel as kn
+from perisum.lattice import lattice_preset
 
 
 def run_cli(args):
@@ -160,3 +163,34 @@ def test_config_file_mirrors_flags(tmp_path):
 
 def test_help_exits_zero():
     assert run_cli(["--help"]) == 0
+
+
+def test_minimize_payload_matches_stored_output(tmp_path):
+    # minimize --lattice Z2 --potential riesz:1 --N 4 --restarts 2 --seed 3
+    # --max-iters 200 as written before the plan was taken from the
+    # MinimizeResult instead of being rebuilt for the provenance block
+    stored = json.loads(
+        (Path(__file__).parent / "data" / "minimize_z2_riesz1.json").read_text())
+    out = tmp_path / "m.json"
+    assert run_cli(["minimize", "--lattice", "Z2", "--potential", "riesz:1",
+                    "--N", "4", "--restarts", "2", "--seed", "3",
+                    "--max-iters", "200", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert list(payload) == list(stored)
+    assert list(payload["plan"]) == list(stored["plan"])
+
+    def close(a, b):
+        # the kernel sums may move in the last few ulps between versions
+        if isinstance(a, float):
+            return a == pytest.approx(b, rel=1e-12, abs=1e-12)
+        if isinstance(a, list):
+            return len(a) == len(b) and all(close(x, y) for x, y in zip(a, b))
+        if isinstance(a, dict):
+            return all(close(a[k], b[k]) for k in a)
+        return a == b
+
+    for key in payload:
+        assert close(payload[key], stored[key]), key
+    # the reused plan is the one a fresh plan_ewald call builds
+    fresh = kn.plan_ewald(lattice_preset("Z2"), kn.Riesz(1.0), 1e-10)
+    assert payload["plan"] == json.loads(json.dumps(fresh.to_json_dict()))

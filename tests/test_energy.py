@@ -25,6 +25,14 @@ def test_single_point_energy_zero():
     assert np.array_equal(rep.gradient, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_configuration_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match="finite"):
+        en.Configuration(Z2, np.array([[0.1, 0.2], [bad, 0.5], [0.3, 0.9]]))
+    with pytest.raises(ValueError, match="finite"):
+        en.Configuration(Z1, np.array([[0.25], [bad]]))
+
+
 def test_two_point_energy_closed_form():
     pot = kn.Riesz(2.0)
     cfg = en.Configuration.equally_spaced(Z1, 2)

@@ -390,3 +390,106 @@ def test_min_image_difference_canonical():
     assert np.allclose(q, [0.1, -0.2], atol=1e-15)
     q2 = kn.min_image_difference(Z2, np.zeros(2), np.array([0.9, 0.2]))
     assert np.array_equal(q, q2)
+
+
+# ---------------------------------------------------------------------------
+# blocked single-pass evaluation
+# ---------------------------------------------------------------------------
+
+
+_FAMILIES = (kn.Riesz(0.8), kn.Riesz(1.0), kn.LogRiesz(1.3), kn.Log(),
+             kn.Gaussian(0.7))
+
+
+@pytest.mark.parametrize("pot", _FAMILIES, ids=kn.potential_label)
+@pytest.mark.parametrize("want_grad", (False, True))
+def test_blocked_batch_matches_row_by_row(monkeypatch, pot, want_grad):
+    plan = kn.plan_ewald(Z2, pot, 1e-10)
+    rng = np.random.default_rng(21)
+    Q = Z2.to_cartesian(rng.uniform(-0.5, 0.5, (13, 2)))
+    Q[7] = 0.0  # a lattice point in the second block
+    # five rows per block, so the 13 rows fall into blocks of 5, 5 and 3
+    monkeypatch.setattr(kn, "_BLOCK_PAIR_IMAGES",
+                        5 * max(plan.terms_direct, plan.terms_dual))
+    values, grads, degenerate = kn.evaluate_batch(Z2, pot, plan, Q, want_grad)
+    assert degenerate.tolist() == [i == 7 for i in range(13)]
+    assert (values[7] == math.inf) == (not isinstance(pot, kn.Gaussian))
+    for i in range(13):
+        v, g, dg = kn.evaluate_batch(Z2, pot, plan, Q[i:i + 1], want_grad)
+        assert dg[0] == degenerate[i]
+        if math.isinf(v[0]):
+            assert values[i] == v[0]
+        else:
+            assert abs(values[i] - v[0]) <= 1e-15 * abs(v[0])
+        if want_grad:
+            assert np.all(np.abs(grads[i] - g[0]) <= 1e-15 * np.abs(g[0]))
+        else:
+            assert grads is None and g is None
+    if want_grad:
+        assert np.array_equal(grads[7], np.zeros(2))
+
+
+def test_gamma_q_half_erfc_branch():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.geomspace(1e-8, 700.0, 400)
+    q = sf.gamma_upper_reg_vec(0.5, x)
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.gammainc(0.5, float(v), regularized=True))
+                          for v in x])
+    assert np.max(np.abs(q - exact) / exact) <= 1e-15
+    # scipy's gammaincc itself drifts to ~1e-13 at large x
+    from scipy.special import gammaincc
+    ref = gammaincc(0.5, x)
+    assert np.max(np.abs(q - ref) / ref) <= 2e-13
+    # the dual coefficients reach the same branch through gamma_upper_vec,
+    # directly at sigma = 1/2 and through the recurrence at sigma = -1/2
+    assert np.array_equal(sf.gamma_upper_vec(0.5, x), q * math.gamma(0.5))
+    emx = np.exp(-x)
+    down = (q * math.gamma(0.5) - x**-0.5 * emx) / -0.5
+    assert np.array_equal(sf.gamma_upper_vec(-0.5, x), down)
+
+
+@pytest.mark.parametrize("lat,pot", [(Z3, kn.Riesz(1.0)), (HEX, kn.Riesz(0.7)),
+                                     (HEX, kn.LogRiesz(0.5)),
+                                     (Z2, kn.LogRiesz(1.0))],
+                         ids=["Z3-riesz1", "hex-riesz0.7", "hex-logriesz0.5",
+                              "Z2-logriesz1"])
+def test_total_energy_gradient_central_difference(lat, pot):
+    from perisum import energy as en
+    plan = kn.plan_ewald(lat, pot, 1e-12)
+    cfg = en.Configuration.random(lat, 5, np.random.default_rng(31))
+    g = en.total_energy(cfg, pot, plan, with_gradient=True).gradient
+    h = 1e-6
+    fd = np.zeros_like(g)
+    for i in range(cfg.n_points):
+        for mu in range(lat.dimension):
+            step = np.zeros_like(cfg.points)
+            step[i, mu] = h
+            ep = en.total_energy(en.Configuration(lat, cfg.points + step), pot, plan)
+            em = en.total_energy(en.Configuration(lat, cfg.points - step), pot, plan)
+            fd[i, mu] = (ep.energy - em.energy) / (2.0 * h)
+    assert np.max(np.abs(fd - g)) <= 1e-6 * np.max(np.abs(g))
+
+
+def _batch_peak_bytes(n):
+    import tracemalloc
+
+    from perisum import energy as en
+    pot = kn.Riesz(1.0)
+    plan = kn.plan_ewald(Z3, pot, 1e-10)
+    cfg = en.Configuration.random(Z3, n, np.random.default_rng(n))
+    _, _, Q = en._pair_differences(cfg)
+    tracemalloc.start()
+    try:
+        kn.evaluate_batch(Z3, pot, plan, Q, want_grad=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_batch_memory_bounded_in_n():
+    peak64 = _batch_peak_bytes(64)
+    peak128 = _batch_peak_bytes(128)  # four times the pair-images
+    assert peak64 < 64 * 2**20
+    assert peak128 < 64 * 2**20
+    assert peak128 <= 1.25 * peak64
