@@ -7,8 +7,7 @@ round-trip losslessly; identical arguments and seed reproduce bitwise
 identical files.  Exit codes: 0 success, 1 failed validation, 2 usage error.
 
 Environment: PERISUM_TOL overrides the default tolerance when --tol is not
-given; PERISUM_THREADS is accepted and recorded for provenance (evaluation
-is single-threaded by design).
+given.
 """
 
 from __future__ import annotations
@@ -112,9 +111,6 @@ def _tol_from(args):
 
 def _provenance(plan=None):
     out = {"version": __version__}
-    threads = os.environ.get("PERISUM_THREADS")
-    if threads:
-        out["threads"] = threads
     if plan is not None:
         out["plan"] = plan.to_json_dict()
     return out
@@ -199,26 +195,17 @@ def _cmd_kernel_eval(args):
     if not args.cartesian:
         x = lat.to_cartesian(x)
         y = lat.to_cartesian(y)
-    if isinstance(pot, kn.Gaussian):
-        plan = kn.plan_ewald(lat, pot, tol)
-        kv = kn.gaussian_kernel(lat, x, y, pot.c, plan.r_cut)
-        plan_dict = plan
-    else:
-        plan = kn.plan_ewald(lat, pot, tol, eta=args.eta)
-        if isinstance(pot, kn.Riesz):
-            kv = kn.riesz_kernel(lat, x, y, pot.s, plan)
-        elif isinstance(pot, kn.LogRiesz):
-            kv = kn.logriesz_kernel(lat, x, y, pot.s, plan)
-        else:
-            kv = kn.log_kernel(lat, x, y, plan)
-        plan_dict = plan
+    # the Gaussian sum has no split, so its plan keeps the default eta
+    eta = 1.0 if isinstance(pot, kn.Gaussian) else args.eta
+    plan = kn.plan_ewald(lat, pot, tol, eta=eta)
+    kv = kn._scalar_kernel(lat, pot, plan, x, y)
     payload = {
         "value": _fmt(kv.value) if math.isfinite(kv.value) else "inf",
         "abs_err_bound": _fmt(kv.abs_err_bound),
         "terms_direct": kv.terms_direct,
         "terms_dual": kv.terms_dual,
         "lattice": lat.to_json_dict(),
-        **_provenance(plan_dict),
+        **_provenance(plan),
     }
     _write_output(payload, args.out, args.format)
     return 0
@@ -290,7 +277,7 @@ def _cmd_growth(args):
         "columns": header,
         "rows": [[_fmt(v) for v in row] for row in table],
         "lattice": lat.to_json_dict(),
-        **_provenance(kn.plan_ewald(lat, pot, tol)),
+        **_provenance(rows[-1].plan),
     }
     _write_output(payload, args.out, args.format, csv_rows=table,
                   csv_header=header)

@@ -109,13 +109,14 @@ class MinimizeResult:
 @dataclass
 class GrowthRow:
     """One row of the growth table: minimized energy and the normalizations
-    used to read off asymptotic rates."""
+    used to read off asymptotic rates, with the plan the minimization used."""
 
     n: int
     energy: float
     per_n2: float
     per_n_power: float
     per_n2_log: float
+    plan: kn.EwaldPlan = field(repr=False)
 
 
 def _pair_differences(cfg):
@@ -275,8 +276,9 @@ def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
 
 def growth_diagnostic(lat, pot, n_list, **opts):
     """Minimize at each N and tabulate the normalized energies
-    (E, E/N^2, E/N^(1+s/d), E/(N^2 log N)).  The power column uses the
-    potential's exponent s and is NaN for families without one."""
+    (E, E/N^2, E/N^(1+s/d), E/(N^2 log N)), each row with the plan its
+    minimization used.  The power column uses the potential's exponent s
+    and is NaN for families without one."""
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be increasing")
     d = lat.dimension
@@ -287,5 +289,5 @@ def growth_diagnostic(lat, pot, n_list, **opts):
         e = res.best_energy
         per_power = e / n ** (1.0 + s / d) if s is not None else math.nan
         per_log = e / (n * n * math.log(n)) if n > 1 else math.nan
-        rows.append(GrowthRow(n, e, e / (n * n), per_power, per_log))
+        rows.append(GrowthRow(n, e, e / (n * n), per_power, per_log, res.plan))
     return rows

@@ -26,6 +26,14 @@ regularized Q(s/2, eta r^2), r^-s and exp(-eta r^2) (and, for log-Riesz,
 log r and the sigma-stencil) are computed once and serve both the value
 and the gradient.  Q(1/2, x) = erfc(sqrt x), the d = 3 Coulomb case, is
 taken from specfun without scipy's general incomplete gamma.
+
+Each term formula (_direct_terms, _dual_coeffs) is built once per (potential,
+eta, d), with its constants, and then takes either an array (evaluate_batch)
+or one float (plan_ewald's envelopes, one call per quadrature node).  Powers
+go through np.power, which rounds a float exactly as it rounds an array
+element; ** on a float rounds through libm, and the downward recurrence and
+the sigma-stencil would amplify that last-ulp difference in the tails the
+planner integrates.
 """
 
 from __future__ import annotations
@@ -223,56 +231,29 @@ def _sphere_area_coeff(d):
 
 
 def _direct_envelope(pot, eta):
-    """Magnitude of one real-space term as a function of distance."""
-    if isinstance(pot, (Riesz, LogRiesz)):
-        def env(r):
-            t, _ = _direct_terms(pot, eta, r)
-            return abs(float(t))
+    """Magnitude of one real-space term as a function of a float distance,
+    through the term formula evaluate_batch uses, and the rate of its
+    Gaussian decay."""
+    terms = _direct_terms(pot, eta)
 
-        return env, eta
-    if isinstance(pot, Log):
-        def env(r):
-            return float(sf.exp_integral_e1(eta * r * r))
+    def env(r):
+        return abs(float(terms(r)[0]))
 
-        return env, eta
-    if isinstance(pot, Gaussian):
-        c = pot.c
-
-        def env(r):
-            return math.exp(-c * r * r)
-
-        return env, c
-    raise TypeError(f"not a potential: {pot!r}")
+    return env, (pot.c if isinstance(pot, Gaussian) else eta)
 
 
 def _dual_envelope(pot, eta, d):
-    """Magnitude of one reciprocal-space coefficient vs dual norm, or None
-    when the potential needs no reciprocal correction (Gaussian)."""
-    if isinstance(pot, Gaussian):
+    """Magnitude of one reciprocal-space coefficient as a function of a
+    float dual norm, through the coefficient formula evaluate_batch uses, or
+    None when the potential needs no reciprocal correction (Gaussian)."""
+    coeffs = _dual_coeffs(pot, eta, d)
+    if coeffs is None:
         return None, None
-    rate = math.pi**2 / eta
-    if isinstance(pot, Riesz):
-        s = pot.s
 
-        def env(k):
-            a, _ = _riesz_dual_coeffs(np.array([k]), s, eta, d, want_ds=False)
-            return abs(float(a[0]))
+    def env(k):
+        return abs(float(coeffs(k)))
 
-        return env, rate
-    if isinstance(pot, LogRiesz):
-        s = pot.s
-
-        def env(k):
-            _, a2 = _riesz_dual_coeffs(np.array([k]), s, eta, d, want_ds=True)
-            return abs(float(a2[0]))
-
-        return env, rate
-    if isinstance(pot, Log):
-        def env(k):
-            return abs(float(_log_dual_coeffs(np.array([k]), eta, d)[0]))
-
-        return env, rate
-    raise TypeError(f"not a potential: {pot!r}")
+    return env, math.pi**2 / eta
 
 
 def _tail_integral(env, radius, d, shift, span):
@@ -291,8 +272,13 @@ def _tail_integral(env, radius, d, shift, span):
 def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
     """Choose truncation radii so each tail estimate is below tol/2.
 
-    The recorded bounds are the integral estimates used for the decision;
-    they can be recomputed from the plan's fields.
+    Each tail estimate integrates a term envelope over a window beyond the
+    candidate radius.  The envelopes are evaluated on scalars, one float per
+    quadrature node, through the same term formulas evaluate_batch applies
+    to arrays (_direct_terms, _dual_coeffs), with the constants of (pot,
+    eta, d) computed once per envelope rather than per node.  The recorded
+    bounds are the integral estimates used for the decision; they can be
+    recomputed from the plan's fields.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -363,79 +349,112 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
 # ---------------------------------------------------------------------------
 
 
-def _direct_terms(pot, eta, r, want_grad=False):
-    """Real-space terms at distances r, an array with lattice points already
-    masked out or a scalar, and with want_grad the radial factor g'(r)/r,
-    so that each term's gradient is radial * (q + v).
+def _direct_terms(pot, eta, want_grad=False):
+    """The real-space term formula of pot at splitting eta: a function of
+    the distances r, an array with lattice points already masked out or a
+    float, returning the terms and, with want_grad (arrays only), the radial
+    factor g'(r)/r, so that each term's gradient is radial * (q + v).
 
-    Each special-function value and power of r is computed once and shared
-    by the term and its radial factor.  Riesz terms are already divided by
-    Gamma(s/2); log-Riesz terms are 2 d/ds of them.
+    Constants of (pot, eta) are computed here, once per batch or envelope;
+    each special-function value and power of r is computed once per call
+    and shared by the term and its radial factor.  Riesz terms are already
+    divided by Gamma(s/2); log-Riesz terms are 2 d/ds of them.
     """
-    r2 = r * r
     if isinstance(pot, Gaussian):
-        t = np.exp(-pot.c * r2)
-        return t, (-2.0 * pot.c * t if want_grad else None)
-    x = eta * r2
+        c = pot.c
+
+        def gaussian_terms(r):
+            t = np.exp(-c * (r * r))
+            return t, (-2.0 * c * t if want_grad else None)
+
+        return gaussian_terms
     if isinstance(pot, Log):
-        t = sc.exp1(x)
-        return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
+        def log_terms(r):
+            r2 = r * r
+            x = eta * r2
+            t = sc.exp1(x)
+            return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
+
+        return log_terms
     if not isinstance(pot, (Riesz, LogRiesz)):
         raise TypeError(f"not a potential: {pot!r}")
     s = pot.s
     sig = 0.5 * s
-    rpow = r ** -s
-    t = sf.gamma_upper_reg_vec(sig, x) * rpow
-    if isinstance(pot, Riesz) and not want_grad:
-        return t, None
+    log_riesz = isinstance(pot, LogRiesz)
     gs = math.gamma(sig)
     # Riesz radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
     c1 = 2.0 * eta**sig / gs
-    if isinstance(pot, Riesz):
+    if log_riesz:
+        psi = sf.digamma(sig)
+        # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
+        c1 *= math.log(eta) - psi
+
+    def riesz_terms(r):
+        r2 = r * r
+        x = eta * r2
+        rpow = np.power(r, -s)
+        t = sf.gamma_upper_reg_vec(sig, x) * rpow
+        if not log_riesz:
+            if not want_grad:
+                return t, None
+            radial = np.exp(-x)
+            radial *= c1
+            radial += s * t
+            radial /= r2
+            return t, np.negative(radial, out=radial)
+        t2 = sf.gamma_upper_dsigma_vec(sig, x, _SIGMA_STEP)
+        t2 *= rpow
+        t2 /= gs
+        t2 -= 2.0 * np.log(r) * t
+        t2 -= psi * t
+        if not want_grad:
+            return t2, None
         radial = np.exp(-x)
         radial *= c1
-        radial += s * t
+        radial += 2.0 * t
+        radial += s * t2
         radial /= r2
-        return t, np.negative(radial, out=radial)
-    psi = sf.digamma(sig)
-    t2 = sf.gamma_upper_dsigma_vec(sig, x, _SIGMA_STEP)
-    t2 *= rpow
-    t2 /= gs
-    t2 -= 2.0 * np.log(r) * t
-    t2 -= psi * t
-    if not want_grad:
-        return t2, None
-    # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
-    radial = np.exp(-x)
-    radial *= c1 * (math.log(eta) - psi)
-    radial += 2.0 * t
-    radial += s * t2
-    radial /= r2
-    return t2, np.negative(radial, out=radial)
+        return t2, np.negative(radial, out=radial)
+
+    return riesz_terms
 
 
-def _riesz_dual_coeffs(k, s, eta, d, want_ds=False):
-    """Reciprocal-space coefficients multiplying cos(2 pi w.q) at dual norms
-    k, and optionally 2 d/ds of each."""
-    z = math.pi**2 * k * k / eta
-    gs = math.gamma(s / 2.0)
-    pk = math.pi * k
-    power = pk ** (s - d)
-    G = sf.gamma_upper_vec((d - s) / 2.0, z)
-    pref = math.pi ** (d / 2.0) / gs
-    a = pref * power * G
-    if not want_ds:
-        return a, None
-    psi = sf.digamma(s / 2.0)
-    dsig = sf.gamma_upper_dsigma_vec((d - s) / 2.0, z, _SIGMA_STEP)
-    a2 = 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
-    return a, a2
+def _dual_coeffs(pot, eta, d):
+    """The reciprocal-space coefficient formula of pot at splitting eta: a
+    function of the dual norms k, an array or a float, giving the
+    coefficient of cos(2 pi w.q); None for the Gaussian, which has no
+    reciprocal part.  Log-Riesz coefficients are 2 d/ds of the Riesz ones.
+    Constants of (pot, eta, d) are computed here, once per batch or
+    envelope."""
+    if isinstance(pot, Gaussian):
+        return None
+    if isinstance(pot, Log):
+        pi_d2 = math.pi ** (d / 2.0)
 
+        def log_coeffs(k):
+            z = math.pi**2 * k * k / eta
+            return sf.gamma_upper_vec(d / 2.0, z) / (pi_d2 * np.power(k, d))
 
-def _log_dual_coeffs(k, eta, d):
-    z = math.pi**2 * k * k / eta
-    G = sf.gamma_upper_vec(d / 2.0, z)
-    return G / (math.pi ** (d / 2.0) * k**d)
+        return log_coeffs
+    if not isinstance(pot, (Riesz, LogRiesz)):
+        raise TypeError(f"not a potential: {pot!r}")
+    s = pot.s
+    sig = (d - s) / 2.0
+    log_riesz = isinstance(pot, LogRiesz)
+    pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
+    psi = sf.digamma(s / 2.0) if log_riesz else None
+
+    def riesz_coeffs(k):
+        z = math.pi**2 * k * k / eta
+        pk = math.pi * k
+        power = np.power(pk, s - d)
+        a = pref * power * sf.gamma_upper_vec(sig, z)
+        if not log_riesz:
+            return a
+        dsig = sf.gamma_upper_dsigma_vec(sig, z, _SIGMA_STEP)
+        return 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
+
+    return riesz_coeffs
 
 
 def _expm1_over(u, a):
@@ -518,13 +537,8 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
 
     W = plan.dual_vectors_half
     if W.shape[0]:
-        kn = plan.dual_norms_half
-        if isinstance(pot, Riesz):
-            a, _ = _riesz_dual_coeffs(kn, pot.s, eta, d)
-        elif isinstance(pot, LogRiesz):
-            _, a = _riesz_dual_coeffs(kn, pot.s, eta, d, want_ds=True)
-        else:
-            a = _log_dual_coeffs(kn, eta, d)
+        a = _dual_coeffs(pot, eta, d)(plan.dual_norms_half)
+    terms = _direct_terms(pot, eta, want_grad)
 
     # component-major (d, rows, images) differences keep every inner loop
     # over the long image axis
@@ -542,7 +556,7 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
         degenerate[rows] = on_lattice.any(axis=1)
         if singular and degenerate[rows].any():
             r[on_lattice] = 1.0  # keeps the terms finite; rows reset below
-        t, radial = _direct_terms(pot, eta, r, want_grad)
+        t, radial = terms(r)
         values[rows] = t.sum(axis=1)
         if want_grad:
             grads[rows] = np.einsum("nv,knv->nk", radial, R)
@@ -604,10 +618,7 @@ def gaussian_kernel(lat, x, y, c, r_cut):
     q = min_image_difference(lat, x, y)
     r2 = np.sum((q[None, :] + shells.vectors) ** 2, axis=1)
     total = float(np.exp(-c * r2).sum()) + _eta_constant(pot, 1.0, d)
-
-    def env(u):
-        return math.exp(-c * u * u)
-
+    env, _ = _direct_envelope(pot, 1.0)
     tail = _tail_integral(env, r_cut, d, margin, 10.0 + 6.0 / math.sqrt(c))
     return KernelValue(
         value=total,
@@ -678,9 +689,9 @@ def epstein_zeta(lat, s, tol=1e-12):
         raise PolePoint("Epstein zeta has its pole at s = d")
     plan = plan_ewald(lat, Riesz(s), tol, 1.0)
     shells = enumerate_shells(lat, "direct", plan.r_cut, include_origin=False)
-    t, _ = _direct_terms(Riesz(s), 1.0, shells.norms)
+    t, _ = _direct_terms(Riesz(s), 1.0)(shells.norms)
     direct = float(t.sum())
-    a, _ = _riesz_dual_coeffs(plan.dual_norms_half, s, 1.0, d)
+    a = _dual_coeffs(Riesz(s), 1.0, d)(plan.dual_norms_half)
     dual = 2.0 * float(a.sum())
     return (direct + dual - 1.0 / math.gamma(s / 2.0 + 1.0)
             - _shift_constant(s, d))

@@ -177,8 +177,9 @@ def _gamma_upper_principal(sigma, x, policy):
 
 
 def gamma_upper_reg_vec(sigma, x):
-    """Regularized Q(sigma, x) = Gamma(sigma, x) / Gamma(sigma) for scalar
-    sigma > 0 and x >= 0, an array or a scalar.
+    """Regularized Q(sigma, x) = Gamma(sigma, x) / Gamma(sigma) for sigma > 0,
+    a float or an array of orders that broadcasts against x, and x >= 0, an
+    array or a scalar.
 
     Q(1/2, x) = erfc(sqrt x) is taken in its scaled form
     exp(-x) erfcx(sqrt x): it costs a quarter of scipy's gammaincc and stays
@@ -186,13 +187,41 @@ def gamma_upper_reg_vec(sigma, x):
     and a plain erfc(sqrt x) drift to ~1e-13.  It covers the Riesz direct
     terms at s = 1 and the dual coefficients at (d - s)/2 = 1/2.
     """
-    if sigma == 0.5:
+    if isinstance(sigma, float) and sigma == 0.5:
         return np.exp(-x) * sc.erfcx(np.sqrt(x))
     return sc.gammaincc(sigma, x)
 
 
+def _downward_start(sigma):
+    """Where gamma_upper_vec starts for order sigma: (base, Gamma(base),
+    steps), so that `steps` downward steps from Gamma(base, x) reach sigma;
+    Gamma(base) is None for integer sigma <= 0, which starts from E1."""
+    if sigma > 0.0:
+        return sigma, math.gamma(sigma), 0
+    if abs(sigma - round(sigma)) < 1e-12:
+        return 0.0, None, int(round(-sigma))
+    frac = sigma - math.floor(sigma)
+    return frac, math.gamma(frac), int(round(frac - sigma))
+
+
+def _gamma_upper_from(base, gbase, steps, x):
+    """Gamma(base - steps, x) by downward recurrence from Gamma(base, x).
+    base and gbase may be arrays of orders that share the step count and
+    broadcast against x, which evaluates several orders in one pass."""
+    g = sc.exp1(x) if gbase is None else gamma_upper_reg_vec(base, x) * gbase
+    if steps:
+        emx = np.exp(-x)
+        sig = base
+        for _ in range(steps):
+            sig = sig - 1.0
+            # np.power rounds a float as it rounds an array element
+            g = (g - np.power(x, sig) * emx) / sig
+    return g
+
+
 def gamma_upper_vec(sigma, x):
-    """Vectorized Gamma(sigma, x) for scalar sigma and an array of x > 0.
+    """Vectorized Gamma(sigma, x) for scalar sigma and x > 0, an array or a
+    float (the planner's envelopes pass floats).
 
     Hot path for the Ewald sums: the regularized gamma above for
     sigma > 0, downward recurrence (through E1 at integer sigma) otherwise.
@@ -200,23 +229,26 @@ def gamma_upper_vec(sigma, x):
     leading x^sigma e^-x scale, but the absolute error stays below
     machine epsilon times that scale, which is what the kernel sums need.
     """
-    x = np.asarray(x, dtype=float)
-    if sigma > 0.0:
-        return gamma_upper_reg_vec(sigma, x) * math.gamma(sigma)
-    if abs(sigma - round(sigma)) < 1e-12:
-        g = sc.exp1(x)
-        steps = int(round(-sigma))
-        sig = 0.0
-    else:
-        frac = sigma - math.floor(sigma)
-        g = gamma_upper_reg_vec(frac, x) * math.gamma(frac)
-        steps = int(round(frac - sigma))
-        sig = frac
-    emx = np.exp(-x)
-    for _ in range(steps):
-        sig -= 1.0
-        g = (g - x**sig * emx) / sig
-    return g
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    return _gamma_upper_from(*_downward_start(sigma), x)
+
+
+@lru_cache(maxsize=64)
+def _stencil_starts(sigma, step):
+    """Downward starts of the stencil orders sigma + 2 step, sigma + step,
+    sigma - step and sigma - 2 step, and the same four stacked into
+    read-only arrays when they share a start (a regularized gamma other
+    than the erfc branch, and one step count), else None."""
+    starts = [_downward_start(o) for o in (sigma + 2.0 * step, sigma + step,
+                                           sigma - step, sigma - 2.0 * step)]
+    if (any(gb is None or b == 0.5 for b, gb, _ in starts)
+            or len({n for _, _, n in starts}) > 1):
+        return starts, None
+    base = np.array([b for b, _, _ in starts])
+    gbase = np.array([gb for _, gb, _ in starts])
+    base.flags.writeable = gbase.flags.writeable = False
+    return starts, (base, gbase, starts[0][2])
 
 
 def gamma_upper_dsigma_vec(sigma, x, step=1e-3):
@@ -226,12 +258,24 @@ def gamma_upper_dsigma_vec(sigma, x, step=1e-3):
     near 1e-12 * Gamma(sigma, x) while the truncation error stays below
     ~1e-9 relative; a narrow 2-point difference would leave an erratic
     1/step-amplified ripple that finite differences of downstream
-    quantities cannot tolerate.
+    quantities cannot tolerate.  The four orders and their recurrence
+    starts are worked out once per (sigma, step).  At a float x (the
+    planner's envelopes) orders that share a start are evaluated in one
+    call over a length-4 array, which saves three rounds of per-call
+    overhead; arrays of x take the orders one at a time, so the batch
+    evaluation's temporaries do not grow fourfold.
     """
-    return (-gamma_upper_vec(sigma + 2.0 * step, x)
-            + 8.0 * gamma_upper_vec(sigma + step, x)
-            - 8.0 * gamma_upper_vec(sigma - step, x)
-            + gamma_upper_vec(sigma - 2.0 * step, x)) / (12.0 * step)
+    starts, stacked = _stencil_starts(sigma, step)
+    if stacked is not None and isinstance(x, float):
+        g = _gamma_upper_from(*stacked, x).__getitem__
+    else:
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+
+        def g(i):
+            return _gamma_upper_from(*starts[i], x)
+
+    return (-g(0) + 8.0 * g(1) - 8.0 * g(2) + g(3)) / (12.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +290,7 @@ def _check_zeta_args(s, q):
         raise ValueError("q must be positive")
 
 
-def hurwitz_zeta(s, q, policy=None):
+def hurwitz_zeta(s, q):
     """Hurwitz zeta(s; q), analytically continued to all real s != 1.
 
     Euler-Maclaurin: 16 direct terms, integral tail, Bernoulli corrections
@@ -269,7 +313,7 @@ def hurwitz_zeta(s, q, policy=None):
     return total
 
 
-def hurwitz_zeta_ds(s, q, policy=None):
+def hurwitz_zeta_ds(s, q):
     """d/ds zeta(s; q), by term-wise differentiation of the same expansion."""
     _check_zeta_args(s, q)
     a = q + _EM_SHIFT
@@ -298,24 +342,24 @@ def hurwitz_zeta_ds(s, q, policy=None):
     return total
 
 
-def hurwitz_zeta_dq(s, q, policy=None):
+def hurwitz_zeta_dq(s, q):
     """d/dq zeta(s; q) = -s zeta(s+1; q)."""
     if q <= 0.0:
         raise ValueError("q must be positive")
     if abs(s) < 1e-12:
         # limit of -s * (1/s + O(1)) as s -> 0
         return -1.0
-    return -s * hurwitz_zeta(s + 1.0, q, policy)
+    return -s * hurwitz_zeta(s + 1.0, q)
 
 
-def riemann_zeta(s, policy=None):
+def riemann_zeta(s):
     """Riemann zeta(s) for real s != 1, including 0 < s < 1 and s < 0."""
-    return hurwitz_zeta(s, 1.0, policy)
+    return hurwitz_zeta(s, 1.0)
 
 
-def riemann_zeta_ds(s, policy=None):
+def riemann_zeta_ds(s):
     """zeta'(s) for real s != 1."""
-    return hurwitz_zeta_ds(s, 1.0, policy)
+    return hurwitz_zeta_ds(s, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -194,3 +194,79 @@ def test_minimize_payload_matches_stored_output(tmp_path):
     # the reused plan is the one a fresh plan_ewald call builds
     fresh = kn.plan_ewald(lattice_preset("Z2"), kn.Riesz(1.0), 1e-10)
     assert payload["plan"] == json.loads(json.dumps(fresh.to_json_dict()))
+
+
+def test_kernel_eval_gaussian_through_plan(tmp_path):
+    # kernel-eval evaluates the Gaussian through its plan; the value agrees
+    # with the standalone gaussian_kernel, whose tail estimate and shells
+    # are the plan's own
+    out = tmp_path / "kv.json"
+    rng = np.random.default_rng(11)
+    for name in ("Z1", "Z2", "Z3", "hex", "fcc-like"):
+        lat = lattice_preset(name)
+        for c, tol in ((0.5, 1e-12), (2.0, 1e-10)):
+            for _ in range(3):
+                x, y = rng.random(lat.dimension), rng.random(lat.dimension)
+                assert run_cli([
+                    "kernel-eval", "--lattice", name,
+                    "--potential", f"gaussian:{c:g}",
+                    "--x", ",".join(repr(float(v)) for v in x),
+                    "--y", ",".join(repr(float(v)) for v in y),
+                    "--tol", repr(tol), "--eta", "4", "--out", str(out)]) == 0
+                payload = json.loads(out.read_text())
+                plan = kn.plan_ewald(lat, kn.Gaussian(c), tol)
+                kv = kn.gaussian_kernel(lat, lat.to_cartesian(x),
+                                        lat.to_cartesian(y), c, plan.r_cut)
+                assert abs(payload["value"] - kv.value) <= 1e-13 * (
+                    1.0 + abs(kv.value))
+                assert payload["abs_err_bound"] == kv.abs_err_bound
+                assert payload["terms_direct"] == kv.terms_direct
+                assert payload["terms_dual"] == kv.terms_dual == 0
+                assert payload["plan"]["eta"] == 1.0
+
+
+def test_growth_takes_its_plan_from_the_minimizations(tmp_path, monkeypatch):
+    # growth --lattice Z2 --potential riesz:1 --N 4,9 --restarts 1 --seed 2
+    # --max-iters 300 as written while the provenance plan was rebuilt by
+    # an extra plan_ewald call
+    stored = (Path(__file__).parent / "data" / "growth_z2_riesz1.json").read_text()
+    calls = []
+    plan_ewald = kn.plan_ewald
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plan_ewald(*args, **kwargs)
+
+    monkeypatch.setattr(kn, "plan_ewald", counted)
+    out = tmp_path / "g.json"
+    assert run_cli(["growth", "--lattice", "Z2", "--potential", "riesz:1",
+                    "--N", "4,9", "--restarts", "1", "--seed", "2",
+                    "--max-iters", "300", "--out", str(out)]) == 0
+    assert len(calls) == 2  # one per minimization
+    payload, expect = json.loads(out.read_text()), json.loads(stored)
+    assert list(payload) == list(expect)
+    assert payload["columns"] == expect["columns"]
+    for row, ref in zip(payload["rows"], expect["rows"], strict=True):
+        assert row[0] == ref[0]
+        assert row[1:] == pytest.approx(ref[1:], rel=1e-12)
+    assert list(payload["plan"]) == list(expect["plan"])
+    for key, value in payload["plan"].items():
+        assert value == pytest.approx(expect["plan"][key], rel=1e-12), key
+    fresh = plan_ewald(lattice_preset("Z2"), kn.Riesz(1.0), 1e-10)
+    assert payload["plan"] == json.loads(json.dumps(fresh.to_json_dict()))
+
+
+def test_provenance_ignores_threads_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERISUM_THREADS", "4")
+    out = tmp_path / "kv.json"
+    assert run_cli(["kernel-eval", "--lattice", "Z1", "--potential", "log",
+                    "--x", "0.25", "--y", "0", "--out", str(out)]) == 0
+    assert "threads" not in json.loads(out.read_text())
+
+
+def test_specfun_eval_rejects_extra_arguments(capsys):
+    # riemann_zeta takes s alone; a second value used to land in an
+    # ignored policy parameter
+    assert run_cli(["specfun-eval", "--fn", "riemann_zeta",
+                    "--args", "2,3"]) == 2
+    assert "bad arguments" in capsys.readouterr().err

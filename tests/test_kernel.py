@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,3 +495,61 @@ def test_evaluate_batch_memory_bounded_in_n():
     assert peak64 < 64 * 2**20
     assert peak128 < 64 * 2**20
     assert peak128 <= 1.25 * peak64
+
+
+# ---------------------------------------------------------------------------
+# planner envelopes on scalars
+# ---------------------------------------------------------------------------
+
+
+def test_plans_match_reference():
+    # cutoffs, term counts and tail bounds written before the envelopes took
+    # floats: the 240 kernel-eval plans of the benchmark's checks grid and
+    # the validate shift-suite plans at s > d (Z1 s = 3, 4.5; Z2 s = 6.5, 8;
+    # Z3 s = 9.5 at tol 1e-13), whose dual orders (d - s)/2 run the integer
+    # and the fractional downward recurrence
+    path = Path(__file__).parent / "data" / "plans_reference.json"
+    plans = json.loads(path.read_text())["plans"]
+    assert len(plans) == 245
+    lats = {}
+    for ref in plans:
+        name = ref["lattice"]
+        lat = lats.setdefault(name, lattice_preset(name))
+        plan = kn.plan_ewald(lat, kn.parse_potential(ref["potential"]),
+                             ref["tol"], ref["eta"])
+        where = f"{name} {ref['potential']} tol={ref['tol']} eta={ref['eta']}"
+        assert plan.r_cut == ref["r_cut"], where
+        assert plan.k_cut == ref["k_cut"], where
+        assert plan.terms_direct == ref["terms_direct"], where
+        assert plan.terms_dual == ref["terms_dual"], where
+        for key in ("direct_tail_bound", "dual_tail_bound"):
+            assert getattr(plan, key) == pytest.approx(
+                ref[key], rel=1e-12, abs=0.0), (where, key)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pot", [
+    kn.Riesz(0.5), kn.Riesz(1.0), kn.Riesz(3.0), kn.Riesz(4.5),
+    kn.LogRiesz(0.5), kn.LogRiesz(1.0), kn.LogRiesz(1.7), kn.Log(),
+    kn.Gaussian(0.5),
+], ids=kn.potential_label)
+def test_envelopes_match_array_formulas(pot, d):
+    # the planner's envelopes take one float per quadrature node; they must
+    # give what the array formulas of evaluate_batch give at the same point.
+    # Dual orders (d - s)/2 here cover sigma > 0, the erfc branch, sigma = 0
+    # (E1), integer and fractional sigma < 0, and log-Riesz stencils that
+    # straddle 0.
+    eta = 2.0
+    env, _ = kn._direct_envelope(pot, eta)
+    terms = kn._direct_terms(pot, eta)
+    for r in np.linspace(0.05, 12.0, 48):
+        ref = abs(float(terms(np.array([r]))[0][0]))
+        assert env(float(r)) == pytest.approx(ref, rel=1e-15, abs=0.0), r
+    env, _ = kn._dual_envelope(pot, eta, d)
+    if isinstance(pot, kn.Gaussian):
+        assert env is None
+        return
+    coeffs = kn._dual_coeffs(pot, eta, d)
+    for k in np.linspace(0.1, 6.0, 48):
+        ref = abs(float(coeffs(np.array([k]))[0]))
+        assert env(float(k)) == pytest.approx(ref, rel=1e-15, abs=0.0), k
