@@ -30,10 +30,8 @@ taken from specfun without scipy's general incomplete gamma.
 Each term formula (_direct_terms, _dual_coeffs) is built once per (potential,
 eta, d), with its constants, and then takes either an array (evaluate_batch)
 or one float (plan_ewald's envelopes, one call per quadrature node).  Powers
-go through np.power, which rounds a float exactly as it rounds an array
-element; ** on a float rounds through libm, and the downward recurrence and
-the sigma-stencil would amplify that last-ulp difference in the tails the
-planner integrates.
+go through np.power because ** on a float rounds through libm, one ulp away
+from the array path in some cases, and the planner's tails would amplify it.
 """
 
 from __future__ import annotations

@@ -177,9 +177,8 @@ def _gamma_upper_principal(sigma, x, policy):
 
 
 def gamma_upper_reg_vec(sigma, x):
-    """Regularized Q(sigma, x) = Gamma(sigma, x) / Gamma(sigma) for sigma > 0,
-    a float or an array of orders that broadcasts against x, and x >= 0, an
-    array or a scalar.
+    """Regularized Q(sigma, x) = Gamma(sigma, x) / Gamma(sigma) for scalar
+    sigma > 0 and x >= 0, an array or a scalar.
 
     Q(1/2, x) = erfc(sqrt x) is taken in its scaled form
     exp(-x) erfcx(sqrt x): it costs a quarter of scipy's gammaincc and stays
@@ -187,7 +186,7 @@ def gamma_upper_reg_vec(sigma, x):
     and a plain erfc(sqrt x) drift to ~1e-13.  It covers the Riesz direct
     terms at s = 1 and the dual coefficients at (d - s)/2 = 1/2.
     """
-    if isinstance(sigma, float) and sigma == 0.5:
+    if sigma == 0.5:
         return np.exp(-x) * sc.erfcx(np.sqrt(x))
     return sc.gammaincc(sigma, x)
 
@@ -205,9 +204,7 @@ def _downward_start(sigma):
 
 
 def _gamma_upper_from(base, gbase, steps, x):
-    """Gamma(base - steps, x) by downward recurrence from Gamma(base, x).
-    base and gbase may be arrays of orders that share the step count and
-    broadcast against x, which evaluates several orders in one pass."""
+    """Gamma(base - steps, x) by downward recurrence from Gamma(base, x)."""
     g = sc.exp1(x) if gbase is None else gamma_upper_reg_vec(base, x) * gbase
     if steps:
         emx = np.exp(-x)
@@ -237,18 +234,9 @@ def gamma_upper_vec(sigma, x):
 @lru_cache(maxsize=64)
 def _stencil_starts(sigma, step):
     """Downward starts of the stencil orders sigma + 2 step, sigma + step,
-    sigma - step and sigma - 2 step, and the same four stacked into
-    read-only arrays when they share a start (a regularized gamma other
-    than the erfc branch, and one step count), else None."""
-    starts = [_downward_start(o) for o in (sigma + 2.0 * step, sigma + step,
-                                           sigma - step, sigma - 2.0 * step)]
-    if (any(gb is None or b == 0.5 for b, gb, _ in starts)
-            or len({n for _, _, n in starts}) > 1):
-        return starts, None
-    base = np.array([b for b, _, _ in starts])
-    gbase = np.array([gb for _, gb, _ in starts])
-    base.flags.writeable = gbase.flags.writeable = False
-    return starts, (base, gbase, starts[0][2])
+    sigma - step and sigma - 2 step."""
+    return tuple(_downward_start(o) for o in (sigma + 2.0 * step, sigma + step,
+                                              sigma - step, sigma - 2.0 * step))
 
 
 def gamma_upper_dsigma_vec(sigma, x, step=1e-3):
@@ -259,23 +247,15 @@ def gamma_upper_dsigma_vec(sigma, x, step=1e-3):
     ~1e-9 relative; a narrow 2-point difference would leave an erratic
     1/step-amplified ripple that finite differences of downstream
     quantities cannot tolerate.  The four orders and their recurrence
-    starts are worked out once per (sigma, step).  At a float x (the
-    planner's envelopes) orders that share a start are evaluated in one
-    call over a length-4 array, which saves three rounds of per-call
-    overhead; arrays of x take the orders one at a time, so the batch
-    evaluation's temporaries do not grow fourfold.
+    starts are worked out once per (sigma, step).
     """
-    starts, stacked = _stencil_starts(sigma, step)
-    if stacked is not None and isinstance(x, float):
-        g = _gamma_upper_from(*stacked, x).__getitem__
-    else:
-        if not isinstance(x, float):
-            x = np.asarray(x, dtype=float)
-
-        def g(i):
-            return _gamma_upper_from(*starts[i], x)
-
-    return (-g(0) + 8.0 * g(1) - 8.0 * g(2) + g(3)) / (12.0 * step)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    o2, o1, m1, m2 = _stencil_starts(sigma, step)
+    g = _gamma_upper_from
+    # one order at a time, so at most two arrays of x's size are alive
+    return (-g(*o2, x) + 8.0 * g(*o1, x) - 8.0 * g(*m1, x)
+            + g(*m2, x)) / (12.0 * step)
 
 
 # ---------------------------------------------------------------------------
