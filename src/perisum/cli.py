@@ -13,6 +13,7 @@ given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -116,6 +117,7 @@ def _provenance(plan=None):
     return out
 
 
+@functools.cache  # parsing leaves the parser unchanged: build it once
 def build_parser():
     p = argparse.ArgumentParser(
         prog="perisum",
@@ -195,10 +197,11 @@ def _cmd_kernel_eval(args):
     if not args.cartesian:
         x = lat.to_cartesian(x)
         y = lat.to_cartesian(y)
-    # the Gaussian sum has no split, so its plan keeps the default eta
-    eta = 1.0 if isinstance(pot, kn.Gaussian) else args.eta
+    # only the singular families are split; the Gaussian's direct sum keeps
+    # the default eta in its plan
+    eta = args.eta if pot.singular else 1.0
     plan = kn.plan_ewald(lat, pot, tol, eta=eta)
-    kv = kn._scalar_kernel(lat, pot, plan, x, y)
+    kv = kn.kernel_value(plan, x, y)
     payload = {
         "value": _fmt(kv.value) if math.isfinite(kv.value) else "inf",
         "abs_err_bound": _fmt(kv.abs_err_bound),

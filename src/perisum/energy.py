@@ -236,14 +236,22 @@ def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
     substream of the seed.  The winner is the lowest energy, ties broken by
     restart index.
     """
+    return _minimize_on(kn.plan_ewald(lat, pot, tol), n, restarts, max_iters,
+                        seed, tol_grad, keep_trajectory)
+
+
+def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
+                 keep_trajectory=False):
+    """minimize with every restart on a given plan, which also fixes the
+    lattice and the potential."""
     if n < 2:
         raise InvalidN("minimize needs at least two points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    lat, pot = plan.lattice, plan.potential
     d = lat.dimension
     if tol_grad is None:
         tol_grad = 1e-8 * n * n
-    plan = kn.plan_ewald(lat, pot, tol)
     m = round(n ** (1.0 / d))
     structured = m**d == n
 
@@ -274,20 +282,20 @@ def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
     )
 
 
-def growth_diagnostic(lat, pot, n_list, **opts):
-    """Minimize at each N and tabulate the normalized energies
-    (E, E/N^2, E/N^(1+s/d), E/(N^2 log N)), each row with the plan its
-    minimization used.  The power column uses the potential's exponent s
-    and is NaN for families without one."""
+def growth_diagnostic(lat, pot, n_list, tol=1e-12, **opts):
+    """Minimize at each N on one plan and tabulate the normalized energies
+    (E, E/N^2, E/N^(1+s/d), E/(N^2 log N)), each row with that plan.  opts
+    are minimize's other options.  The power column uses the potential's
+    exponent s and is NaN for families without one."""
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be increasing")
     d = lat.dimension
     s = getattr(pot, "s", None)
+    plan = kn.plan_ewald(lat, pot, tol)
     rows = []
     for n in n_list:
-        res = minimize(lat, pot, n, **opts)
-        e = res.best_energy
+        e = _minimize_on(plan, n, **opts).best_energy
         per_power = e / n ** (1.0 + s / d) if s is not None else math.nan
         per_log = e / (n * n * math.log(n)) if n > 1 else math.nan
-        rows.append(GrowthRow(n, e, e / (n * n), per_power, per_log, res.plan))
+        rows.append(GrowthRow(n, e, e / (n * n), per_power, per_log, plan))
     return rows

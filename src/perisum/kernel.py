@@ -27,11 +27,17 @@ log r and the sigma-stencil) are computed once and serve both the value
 and the gradient.  Q(1/2, x) = erfc(sqrt x), the d = 3 Coulomb case, is
 taken from specfun without scipy's general incomplete gamma.
 
-Each term formula (_direct_terms, _dual_coeffs) is built once per (potential,
-eta, d), with its constants, and then takes either an array (evaluate_batch)
-or one float (plan_ewald's envelopes, one call per quadrature node).  Powers
-go through np.power because ** on a float rounds through libm, one ulp away
-from the array path in some cases, and the planner's tails would amplify it.
+Each potential family (Riesz, LogRiesz, Log, Gaussian) is one frozen
+dataclass that owns its split: label (its parse_potential string),
+singular, direct_rate(eta) (the Gaussian decay rate of its real-space
+terms), direct_terms(eta, want_grad), dual_coeffs(eta, d) (None for the
+Gaussian) and eta_constant(eta, d).  The term formulas are built once per
+(potential, eta, d) and take an array (evaluate_batch) or one float
+(plan_ewald's envelopes); with want_grad, direct_terms also returns the
+radial factor g'(r)/r, each term's gradient being radial * (q + v).
+Powers go through np.power because ** on a float rounds through libm, one
+ulp away from the array path in some cases, and the planner's tails would
+amplify it.  kernel_value(plan, x, y) is the one single-pair entry point.
 """
 
 from __future__ import annotations
@@ -59,15 +65,12 @@ __all__ = [
     "Log",
     "Gaussian",
     "parse_potential",
-    "potential_label",
     "EwaldPlan",
     "KernelValue",
     "plan_ewald",
     "evaluate_batch",
-    "riesz_kernel",
+    "kernel_value",
     "coulomb_kernel",
-    "logriesz_kernel",
-    "log_kernel",
     "gaussian_kernel",
     "epstein_hurwitz_zeta",
     "epstein_zeta",
@@ -82,6 +85,20 @@ _SIGMA_STEP = 1e-3     # step of the 4th-order d/dsigma Gamma(sigma, x) stencil
 _BLOCK_PAIR_IMAGES = 1 << 17
 
 
+def _expm1_over(u, a):
+    """phi(u) = expm1(u a)/u with its removable singularity at u = 0."""
+    if abs(u * a) < 1e-8:
+        return a * (1.0 + 0.5 * u * a + u * u * a * a / 6.0)
+    return math.expm1(u * a) / u
+
+
+def _expm1_over_du(u, a):
+    """phi'(u) for the eta-constant's s-derivative."""
+    if abs(u * a) < 1e-6:
+        return a * a * (0.5 + u * a / 3.0 + u * u * a * a / 8.0)
+    return (a * math.exp(u * a) * u - math.expm1(u * a)) / (u * u)
+
+
 # ---------------------------------------------------------------------------
 # potential families
 # ---------------------------------------------------------------------------
@@ -92,37 +109,198 @@ class Riesz:
     """Inverse-power potential |x|^-s, s > 0."""
 
     s: float
+    singular = True
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError("Riesz exponent s must be positive")
 
+    @property
+    def label(self):
+        return f"riesz:{self.s:g}"
+
+    def direct_rate(self, eta):
+        return eta
+
+    def direct_terms(self, eta, want_grad=False):
+        s = self.s
+        sig = 0.5 * s
+        # radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
+        c1 = 2.0 * eta**sig / math.gamma(sig)
+
+        def riesz_terms(r):
+            r2 = r * r
+            x = eta * r2
+            t = sf.gamma_upper_reg_vec(sig, x) * np.power(r, -s)
+            if not want_grad:
+                return t, None
+            radial = np.exp(-x)
+            radial *= c1
+            radial += s * t
+            radial /= r2
+            return t, np.negative(radial, out=radial)
+
+        return riesz_terms
+
+    def dual_coeffs(self, eta, d):
+        s = self.s
+        sig = (d - s) / 2.0
+        pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
+
+        def riesz_coeffs(k):
+            z = math.pi**2 * k * k / eta
+            power = np.power(math.pi * k, s - d)
+            return pref * power * sf.gamma_upper_vec(sig, z)
+
+        return riesz_coeffs
+
+    def eta_constant(self, eta, d):
+        phi = _expm1_over(self.s - d, 0.5 * math.log(eta))
+        return 2.0 * math.pi ** (d / 2.0) * phi / math.gamma(self.s / 2.0)
+
 
 @dataclass(frozen=True)
 class LogRiesz:
-    """Potential |x|^-s log(|x|^-2), s > 0."""
+    """Potential |x|^-s log(|x|^-2), s > 0: 2 d/ds of the Riesz potential,
+    and so are its terms, coefficients and constant."""
 
     s: float
+    singular = True
 
     def __post_init__(self):
         if not self.s > 0:
             raise ValueError("LogRiesz exponent s must be positive")
+
+    @property
+    def label(self):
+        return f"logriesz:{self.s:g}"
+
+    def direct_rate(self, eta):
+        return eta
+
+    def direct_terms(self, eta, want_grad=False):
+        s = self.s
+        sig = 0.5 * s
+        gs = math.gamma(sig)
+        psi = sf.digamma(sig)
+        # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
+        c1 = 2.0 * eta**sig / gs * (math.log(eta) - psi)
+
+        def logriesz_terms(r):
+            r2 = r * r
+            x = eta * r2
+            rpow = np.power(r, -s)
+            t = sf.gamma_upper_reg_vec(sig, x) * rpow
+            t2 = sf.gamma_upper_dsigma_vec(sig, x, _SIGMA_STEP)
+            t2 *= rpow
+            t2 /= gs
+            t2 -= 2.0 * np.log(r) * t
+            t2 -= psi * t
+            if not want_grad:
+                return t2, None
+            radial = np.exp(-x)
+            radial *= c1
+            radial += 2.0 * t
+            radial += s * t2
+            radial /= r2
+            return t2, np.negative(radial, out=radial)
+
+        return logriesz_terms
+
+    def dual_coeffs(self, eta, d):
+        s = self.s
+        sig = (d - s) / 2.0
+        pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
+        psi = sf.digamma(s / 2.0)
+
+        def logriesz_coeffs(k):
+            z = math.pi**2 * k * k / eta
+            pk = math.pi * k
+            power = np.power(pk, s - d)
+            a = pref * power * sf.gamma_upper_vec(sig, z)
+            dsig = sf.gamma_upper_dsigma_vec(sig, z, _SIGMA_STEP)
+            return 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
+
+        return logriesz_coeffs
+
+    def eta_constant(self, eta, d):
+        s = self.s
+        u = s - d
+        a = 0.5 * math.log(eta)
+        psi = sf.digamma(s / 2.0)
+        return (4.0 * math.pi ** (d / 2.0) / math.gamma(s / 2.0)
+                * (_expm1_over_du(u, a) - 0.5 * _expm1_over(u, a) * psi))
 
 
 @dataclass(frozen=True)
 class Log:
     """Potential log(|x|^-2)."""
 
+    singular = True
+    label = "log"
+
+    def direct_rate(self, eta):
+        return eta
+
+    def direct_terms(self, eta, want_grad=False):
+        def log_terms(r):
+            r2 = r * r
+            x = eta * r2
+            t = sc.exp1(x)
+            return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
+
+        return log_terms
+
+    def dual_coeffs(self, eta, d):
+        pi_d2 = math.pi ** (d / 2.0)
+
+        def log_coeffs(k):
+            z = math.pi**2 * k * k / eta
+            return sf.gamma_upper_vec(d / 2.0, z) / (pi_d2 * np.power(k, d))
+
+        return log_coeffs
+
+    def eta_constant(self, eta, d):
+        return -(2.0 / d) * math.pi ** (d / 2.0) * (eta ** (-d / 2.0) - 1.0)
+
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Potential exp(-c |x|^2), c > 0."""
+    """Potential exp(-c |x|^2), c > 0: an absolutely convergent direct sum,
+    finite at lattice points, with no split and no reciprocal part."""
 
     c: float
+    singular = False
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("Gaussian width parameter c must be positive")
+
+    @property
+    def label(self):
+        return f"gaussian:{self.c:g}"
+
+    def direct_rate(self, eta):
+        return self.c
+
+    def direct_terms(self, eta, want_grad=False):
+        c = self.c
+
+        def gaussian_terms(r):
+            t = np.exp(-c * (r * r))
+            return t, (-2.0 * c * t if want_grad else None)
+
+        return gaussian_terms
+
+    def dual_coeffs(self, eta, d):
+        return None
+
+    def eta_constant(self, eta, d):
+        # the lattice-average subtraction: the integral over [0, 1) of
+        # pi^(d/2) t^(-d/2) against the point mass at c, active exactly
+        # when c < 1
+        c = self.c
+        return -((math.pi / c) ** (d / 2.0)) if c < 1.0 else 0.0
 
 
 def parse_potential(text):
@@ -143,23 +321,6 @@ def parse_potential(text):
     except ValueError as exc:
         raise ValueError(f"bad potential string {text!r}: {exc}") from None
     raise ValueError(f"unknown potential family {name!r}")
-
-
-def potential_label(pot):
-    if isinstance(pot, Riesz):
-        return f"riesz:{pot.s:g}"
-    if isinstance(pot, LogRiesz):
-        return f"logriesz:{pot.s:g}"
-    if isinstance(pot, Log):
-        return "log"
-    if isinstance(pot, Gaussian):
-        return f"gaussian:{pot.c:g}"
-    raise TypeError(f"not a potential: {pot!r}")
-
-
-def _is_singular(pot):
-    # Gaussian is the only family finite at lattice points
-    return not isinstance(pot, Gaussian)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +360,7 @@ class EwaldPlan:
 
     def to_json_dict(self):
         return {
-            "potential": potential_label(self.potential),
+            "potential": self.potential.label,
             "eta": self.eta,
             "r_cut": self.r_cut,
             "k_cut": self.k_cut,
@@ -232,19 +393,19 @@ def _direct_envelope(pot, eta):
     """Magnitude of one real-space term as a function of a float distance,
     through the term formula evaluate_batch uses, and the rate of its
     Gaussian decay."""
-    terms = _direct_terms(pot, eta)
+    terms = pot.direct_terms(eta)
 
     def env(r):
         return abs(float(terms(r)[0]))
 
-    return env, (pot.c if isinstance(pot, Gaussian) else eta)
+    return env, pot.direct_rate(eta)
 
 
 def _dual_envelope(pot, eta, d):
     """Magnitude of one reciprocal-space coefficient as a function of a
     float dual norm, through the coefficient formula evaluate_batch uses, or
     None when the potential needs no reciprocal correction (Gaussian)."""
-    coeffs = _dual_coeffs(pot, eta, d)
+    coeffs = pot.dual_coeffs(eta, d)
     if coeffs is None:
         return None, None
 
@@ -273,10 +434,10 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
     Each tail estimate integrates a term envelope over a window beyond the
     candidate radius.  The envelopes are evaluated on scalars, one float per
     quadrature node, through the same term formulas evaluate_batch applies
-    to arrays (_direct_terms, _dual_coeffs), with the constants of (pot,
-    eta, d) computed once per envelope rather than per node.  The recorded
-    bounds are the integral estimates used for the decision; they can be
-    recomputed from the plan's fields.
+    to arrays (pot.direct_terms, pot.dual_coeffs), with the constants of
+    (pot, eta, d) computed once per envelope rather than per node.  The
+    recorded bounds are the integral estimates used for the decision; they
+    can be recomputed from the plan's fields.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -343,159 +504,6 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
 
 
 # ---------------------------------------------------------------------------
-# term formulas (vectorized over distances / dual norms)
-# ---------------------------------------------------------------------------
-
-
-def _direct_terms(pot, eta, want_grad=False):
-    """The real-space term formula of pot at splitting eta: a function of
-    the distances r, an array with lattice points already masked out or a
-    float, returning the terms and, with want_grad (arrays only), the radial
-    factor g'(r)/r, so that each term's gradient is radial * (q + v).
-
-    Constants of (pot, eta) are computed here, once per batch or envelope;
-    each special-function value and power of r is computed once per call
-    and shared by the term and its radial factor.  Riesz terms are already
-    divided by Gamma(s/2); log-Riesz terms are 2 d/ds of them.
-    """
-    if isinstance(pot, Gaussian):
-        c = pot.c
-
-        def gaussian_terms(r):
-            t = np.exp(-c * (r * r))
-            return t, (-2.0 * c * t if want_grad else None)
-
-        return gaussian_terms
-    if isinstance(pot, Log):
-        def log_terms(r):
-            r2 = r * r
-            x = eta * r2
-            t = sc.exp1(x)
-            return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
-
-        return log_terms
-    if not isinstance(pot, (Riesz, LogRiesz)):
-        raise TypeError(f"not a potential: {pot!r}")
-    s = pot.s
-    sig = 0.5 * s
-    log_riesz = isinstance(pot, LogRiesz)
-    gs = math.gamma(sig)
-    # Riesz radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
-    c1 = 2.0 * eta**sig / gs
-    if log_riesz:
-        psi = sf.digamma(sig)
-        # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
-        c1 *= math.log(eta) - psi
-
-    def riesz_terms(r):
-        r2 = r * r
-        x = eta * r2
-        rpow = np.power(r, -s)
-        t = sf.gamma_upper_reg_vec(sig, x) * rpow
-        if not log_riesz:
-            if not want_grad:
-                return t, None
-            radial = np.exp(-x)
-            radial *= c1
-            radial += s * t
-            radial /= r2
-            return t, np.negative(radial, out=radial)
-        t2 = sf.gamma_upper_dsigma_vec(sig, x, _SIGMA_STEP)
-        t2 *= rpow
-        t2 /= gs
-        t2 -= 2.0 * np.log(r) * t
-        t2 -= psi * t
-        if not want_grad:
-            return t2, None
-        radial = np.exp(-x)
-        radial *= c1
-        radial += 2.0 * t
-        radial += s * t2
-        radial /= r2
-        return t2, np.negative(radial, out=radial)
-
-    return riesz_terms
-
-
-def _dual_coeffs(pot, eta, d):
-    """The reciprocal-space coefficient formula of pot at splitting eta: a
-    function of the dual norms k, an array or a float, giving the
-    coefficient of cos(2 pi w.q); None for the Gaussian, which has no
-    reciprocal part.  Log-Riesz coefficients are 2 d/ds of the Riesz ones.
-    Constants of (pot, eta, d) are computed here, once per batch or
-    envelope."""
-    if isinstance(pot, Gaussian):
-        return None
-    if isinstance(pot, Log):
-        pi_d2 = math.pi ** (d / 2.0)
-
-        def log_coeffs(k):
-            z = math.pi**2 * k * k / eta
-            return sf.gamma_upper_vec(d / 2.0, z) / (pi_d2 * np.power(k, d))
-
-        return log_coeffs
-    if not isinstance(pot, (Riesz, LogRiesz)):
-        raise TypeError(f"not a potential: {pot!r}")
-    s = pot.s
-    sig = (d - s) / 2.0
-    log_riesz = isinstance(pot, LogRiesz)
-    pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
-    psi = sf.digamma(s / 2.0) if log_riesz else None
-
-    def riesz_coeffs(k):
-        z = math.pi**2 * k * k / eta
-        pk = math.pi * k
-        power = np.power(pk, s - d)
-        a = pref * power * sf.gamma_upper_vec(sig, z)
-        if not log_riesz:
-            return a
-        dsig = sf.gamma_upper_dsigma_vec(sig, z, _SIGMA_STEP)
-        return 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
-
-    return riesz_coeffs
-
-
-def _expm1_over(u, a):
-    """phi(u) = expm1(u a)/u with its removable singularity at u = 0."""
-    if abs(u * a) < 1e-8:
-        return a * (1.0 + 0.5 * u * a + u * u * a * a / 6.0)
-    return math.expm1(u * a) / u
-
-
-def _expm1_over_du(u, a):
-    """phi'(u) for the eta-constant's s-derivative."""
-    if abs(u * a) < 1e-6:
-        return a * a * (0.5 + u * a / 3.0 + u * u * a * a / 8.0)
-    return (a * math.exp(u * a) * u - math.expm1(u * a)) / (u * u)
-
-
-def _eta_constant(pot, eta, d):
-    """Configuration-independent term produced by moving the split away from
-    the canonical eta = 1 (and, for the Gaussian, the lattice-average
-    subtraction)."""
-    if isinstance(pot, Gaussian):
-        # integral over [0, 1) of pi^(d/2) t^(-d/2) against the point mass
-        # at c: active exactly when c < 1
-        c = pot.c
-        return -((math.pi / c) ** (d / 2.0)) if c < 1.0 else 0.0
-    if isinstance(pot, Log):
-        return -(2.0 / d) * math.pi ** (d / 2.0) * (eta ** (-d / 2.0) - 1.0)
-    a = 0.5 * math.log(eta)
-    if isinstance(pot, Riesz):
-        s = pot.s
-        u = s - d
-        return 2.0 * math.pi ** (d / 2.0) * _expm1_over(u, a) / math.gamma(s / 2.0)
-    if isinstance(pot, LogRiesz):
-        s = pot.s
-        u = s - d
-        gs = math.gamma(s / 2.0)
-        psi = sf.digamma(s / 2.0)
-        return (4.0 * math.pi ** (d / 2.0) / gs
-                * (_expm1_over_du(u, a) - 0.5 * _expm1_over(u, a) * psi))
-    raise TypeError(f"not a potential: {pot!r}")
-
-
-# ---------------------------------------------------------------------------
 # batched evaluation
 # ---------------------------------------------------------------------------
 
@@ -522,8 +530,8 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
     """
     if plan.potential != pot:
         raise PlanMismatch(
-            f"plan built for {potential_label(plan.potential)}, "
-            f"asked to evaluate {potential_label(pot)}")
+            f"plan built for {plan.potential.label}, "
+            f"asked to evaluate {pot.label}")
     if plan.lattice is not lat and not np.array_equal(plan.lattice.basis, lat.basis):
         raise PlanMismatch("plan built for a different lattice")
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -531,12 +539,11 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
     if d != lat.dimension:
         raise DimensionMismatch("difference vectors have wrong dimension")
     eta = plan.eta
-    singular = _is_singular(pot)
 
     W = plan.dual_vectors_half
     if W.shape[0]:
-        a = _dual_coeffs(pot, eta, d)(plan.dual_norms_half)
-    terms = _direct_terms(pot, eta, want_grad)
+        a = pot.dual_coeffs(eta, d)(plan.dual_norms_half)
+    terms = pot.direct_terms(eta, want_grad)
 
     # component-major (d, rows, images) differences keep every inner loop
     # over the long image axis
@@ -552,7 +559,7 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
         r = np.sqrt(np.einsum("knv,knv->nv", R, R))
         on_lattice = r < _SINGULAR_EPS
         degenerate[rows] = on_lattice.any(axis=1)
-        if singular and degenerate[rows].any():
+        if pot.singular and degenerate[rows].any():
             r[on_lattice] = 1.0  # keeps the terms finite; rows reset below
         t, radial = terms(r)
         values[rows] = t.sum(axis=1)
@@ -563,46 +570,27 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
             values[rows] += 2.0 * (np.cos(phase) @ a)
             if want_grad:
                 grads[rows] -= 4.0 * math.pi * ((np.sin(phase) * a) @ W)
-    values += _eta_constant(pot, eta, d)
+    values += pot.eta_constant(eta, d)
 
     if want_grad:
         grads[degenerate] = 0.0
-    if singular:
+    if pot.singular:
         values[degenerate] = math.inf
     return values, grads, degenerate
 
 
-def _scalar_kernel(lat, pot, plan, x, y):
-    q = min_image_difference(lat, x, y)
-    vals, _, _ = evaluate_batch(lat, pot, plan, q[None, :])
+def kernel_value(plan, x, y):
+    """Periodic kernel of the plan's potential on the plan's lattice at the
+    pair (x, y) of Cartesian points; +inf when x - y is a lattice point and
+    the potential is singular there."""
+    q = min_image_difference(plan.lattice, x, y)
+    vals, _, _ = evaluate_batch(plan.lattice, plan.potential, plan, q[None, :])
     return KernelValue(
         value=float(vals[0]),
         abs_err_bound=plan.guaranteed_abs_err,
         terms_direct=plan.terms_direct,
         terms_dual=plan.terms_dual,
     )
-
-
-def riesz_kernel(lat, x, y, s, plan):
-    """Periodic Riesz kernel K_s(x, y); +inf when x - y is a lattice point."""
-    if not isinstance(plan.potential, Riesz) or plan.potential.s != s:
-        raise PlanMismatch("plan potential does not match Riesz(s)")
-    return _scalar_kernel(lat, Riesz(s), plan, x, y)
-
-
-def logriesz_kernel(lat, x, y, s, plan):
-    """Periodic log-Riesz kernel, the term-wise 2 d/ds of the Riesz kernel."""
-    if not isinstance(plan.potential, LogRiesz) or plan.potential.s != s:
-        raise PlanMismatch("plan potential does not match LogRiesz(s)")
-    return _scalar_kernel(lat, LogRiesz(s), plan, x, y)
-
-
-def log_kernel(lat, x, y, plan):
-    """Periodic logarithmic kernel: E1 terms in real space, Gamma(d/2, .)
-    terms in reciprocal space."""
-    if not isinstance(plan.potential, Log):
-        raise PlanMismatch("plan potential does not match Log")
-    return _scalar_kernel(lat, Log(), plan, x, y)
 
 
 def gaussian_kernel(lat, x, y, c, r_cut):
@@ -615,7 +603,7 @@ def gaussian_kernel(lat, x, y, c, r_cut):
     shells = enumerate_shells(lat, "direct", r_cut + margin, include_origin=True)
     q = min_image_difference(lat, x, y)
     r2 = np.sum((q[None, :] + shells.vectors) ** 2, axis=1)
-    total = float(np.exp(-c * r2).sum()) + _eta_constant(pot, 1.0, d)
+    total = float(np.exp(-c * r2).sum()) + pot.eta_constant(1.0, d)
     env, _ = _direct_envelope(pot, 1.0)
     tail = _tail_integral(env, r_cut, d, margin, 10.0 + 6.0 / math.sqrt(c))
     return KernelValue(
@@ -631,7 +619,7 @@ def coulomb_kernel(lat, x, y, plan):
     form; agrees with the s = 1 Riesz kernel."""
     if lat.dimension != 3:
         raise DimensionMismatch("Coulomb kernel is specific to d = 3")
-    if not isinstance(plan.potential, Riesz) or plan.potential.s != 1.0:
+    if plan.potential != Riesz(1.0):
         raise PlanMismatch("Coulomb kernel expects a plan for Riesz(1)")
     q = min_image_difference(lat, x, y)
     R = q[None, :] + plan.direct_vectors
@@ -639,15 +627,13 @@ def coulomb_kernel(lat, x, y, plan):
     if r.min() < _SINGULAR_EPS:
         return KernelValue(math.inf, plan.guaranteed_abs_err,
                            plan.terms_direct, plan.terms_dual)
-    from scipy.special import erfc as verfc
-
     eta = plan.eta
-    direct = float(np.sum(verfc(math.sqrt(eta) * r) / r))
+    direct = float(np.sum(sc.erfc(math.sqrt(eta) * r) / r))
     W = plan.dual_vectors_half
     kn = plan.dual_norms_half
     coeff = np.exp(-math.pi**2 * kn**2 / eta) / (math.pi * kn**2)
     dual = 2.0 * float(np.cos(2.0 * math.pi * (W @ q)) @ coeff)
-    const = _eta_constant(Riesz(1.0), eta, 3)
+    const = Riesz(1.0).eta_constant(eta, 3)
     return KernelValue(direct + dual + const, plan.guaranteed_abs_err,
                        plan.terms_direct, plan.terms_dual)
 
@@ -685,11 +671,12 @@ def epstein_zeta(lat, s, tol=1e-12):
     d = lat.dimension
     if abs(s - d) < 1e-10:
         raise PolePoint("Epstein zeta has its pole at s = d")
-    plan = plan_ewald(lat, Riesz(s), tol, 1.0)
+    pot = Riesz(s)
+    plan = plan_ewald(lat, pot, tol, 1.0)
     shells = enumerate_shells(lat, "direct", plan.r_cut, include_origin=False)
-    t, _ = _direct_terms(Riesz(s), 1.0)(shells.norms)
+    t, _ = pot.direct_terms(1.0)(shells.norms)
     direct = float(t.sum())
-    a = _dual_coeffs(Riesz(s), 1.0, d)(plan.dual_norms_half)
+    a = pot.dual_coeffs(1.0, d)(plan.dual_norms_half)
     dual = 2.0 * float(a.sum())
     return (direct + dual - 1.0 / math.gamma(s / 2.0 + 1.0)
             - _shift_constant(s, d))

@@ -237,7 +237,7 @@ def test_criterion_7_constant_shift():
         for _ in range(2):
             q = lat.to_cartesian(rng.uniform(0.15, 0.85, d))
             bf = vd.brute_force_epstein_hurwitz(lat, q, s)
-            kv = kn.riesz_kernel(lat, q, np.zeros(d), s, plan)
+            kv = kn.kernel_value(plan, q, np.zeros(d))
             shifts.append(bf - kv.value)
         const = vd.shift_constant(s, d)
         for sh in shifts:
@@ -263,7 +263,7 @@ def test_criterion_8_eta_invariance():
         vals = []
         for eta in (0.5, 1.0, 2.0):
             plan = kn.plan_ewald(lat, kn.Riesz(s), 1e-12, eta=eta)
-            vals.append(kn.riesz_kernel(lat, q, np.zeros(d), s, plan).value)
+            vals.append(kn.kernel_value(plan, q, np.zeros(d)).value)
         worst = max(worst, max(vals) - min(vals))
     _report("criterion 8 (eta invariance)", worst <= 1e-10,
             f"worst spread {worst:.2e} over 30 cases")
@@ -388,7 +388,7 @@ def test_criterion_11_convergence_factor():
     details = []
     for s in (0.5, 3.0):
         plan = kn.plan_ewald(Z1, kn.Riesz(s), 1e-13)
-        ref = kn.riesz_kernel(Z1, np.array([0.3]), np.zeros(1), s, plan).value
+        ref = kn.kernel_value(plan, np.array([0.3]), np.zeros(1)).value
         vals = kn.convergence_factor_oracle(Z1, np.array([0.3]), s,
                                             [0.2, 0.1, 0.05])
         gaps = [abs(v - ref) for v in vals]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +231,7 @@ def test_kernel_eval_gaussian_through_plan(tmp_path):
 def test_growth_takes_its_plan_from_the_minimizations(tmp_path, monkeypatch):
     # growth --lattice Z2 --potential riesz:1 --N 4,9 --restarts 1 --seed 2
     # --max-iters 300 as written while the provenance plan was rebuilt by
-    # an extra plan_ewald call
+    # an extra plan_ewald call, and each N planned again
     stored = (Path(__file__).parent / "data" / "growth_z2_riesz1.json").read_text()
     calls = []
     plan_ewald = kn.plan_ewald
@@ -242,7 +245,7 @@ def test_growth_takes_its_plan_from_the_minimizations(tmp_path, monkeypatch):
     assert run_cli(["growth", "--lattice", "Z2", "--potential", "riesz:1",
                     "--N", "4,9", "--restarts", "1", "--seed", "2",
                     "--max-iters", "300", "--out", str(out)]) == 0
-    assert len(calls) == 2  # one per minimization
+    assert len(calls) == 1  # one plan serves every N
     payload, expect = json.loads(out.read_text()), json.loads(stored)
     assert list(payload) == list(expect)
     assert payload["columns"] == expect["columns"]
@@ -270,3 +273,24 @@ def test_specfun_eval_rejects_extra_arguments(capsys):
     assert run_cli(["specfun-eval", "--fn", "riemann_zeta",
                     "--args", "2,3"]) == 2
     assert "bad arguments" in capsys.readouterr().err
+
+
+def test_parser_built_once_survives_a_usage_error(capsys):
+    # main shares one parser per process; after an argparse usage error,
+    # and call after call, it must parse as a fresh process does (the
+    # defaults of --tol and --eta included)
+    argv = ["kernel-eval", "--lattice", "hex", "--potential", "logriesz:0.5",
+            "--x", "0.3,0.1", "--y", "0"]
+    assert run_cli(["kernel-eval", "--lattice", "hex", "--potential",
+                    "log", "--x", "0.3,0.1"]) == 2
+    assert "--y" in capsys.readouterr().err
+    outs = []
+    for _ in range(2):
+        assert run_cli(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = subprocess.run([sys.executable, "-m", "perisum.cli", *argv],
+                           capture_output=True, text=True, env=env, check=True)
+    assert outs == [fresh.stdout] * 2

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +260,27 @@ def test_growth_diagnostic_s3_limit():
 def test_growth_requires_increasing_n():
     with pytest.raises(ValueError):
         en.growth_diagnostic(Z1, kn.Riesz(1.0), [8, 4])
+
+
+def test_energies_match_reference():
+    # total_energy value and gradient at N = 10 seeded random points, tol
+    # 1e-10, eta 1 and 4, on the five presets for riesz 0.5/1/2.5, logriesz
+    # 0.5/1/1.7, log and gaussian 0.5/3, written before each family owned
+    # its term formulas
+    path = Path(__file__).parent / "data" / "energies_reference.json"
+    cases = json.loads(path.read_text())["cases"]
+    assert len(cases) == 90
+    lats = {}
+    for ref in cases:
+        name = ref["lattice"]
+        lat = lats.setdefault(name, lattice_preset(name))
+        pot = kn.parse_potential(ref["potential"])
+        plan = kn.plan_ewald(lat, pot, ref["tol"], eta=ref["eta"])
+        cfg = en.Configuration(lat, np.array(ref["points"]))
+        rep = en.total_energy(cfg, pot, plan, with_gradient=True)
+        where = f"{name} {ref['potential']} eta={ref['eta']}"
+        assert abs(rep.energy - ref["energy"]) <= (
+            1e-14 * abs(ref["energy"])), where
+        grad = np.array(ref["gradient"])
+        assert np.max(np.abs(rep.gradient - grad)) <= (
+            1e-14 * np.max(np.abs(grad))), where

@@ -25,8 +25,8 @@ HEX = lattice_preset("hex")
 def _riesz(lat, q, s, tol=1e-12, eta=1.0):
     plan = kn.plan_ewald(lat, kn.Riesz(s), tol, eta=eta)
     d = lat.dimension
-    return kn.riesz_kernel(lat, np.atleast_1d(np.asarray(q, float)),
-                           np.zeros(d), s, plan).value
+    return kn.kernel_value(plan, np.atleast_1d(np.asarray(q, float)),
+                           np.zeros(d)).value
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,13 @@ def test_parse_potential():
             kn.parse_potential(bad)
 
 
+@pytest.mark.parametrize("pot", [kn.Riesz(0.75), kn.Riesz(2.0),
+                                 kn.LogRiesz(1.5), kn.Log(),
+                                 kn.Gaussian(3.0)], ids=lambda p: p.label)
+def test_label_round_trip(pot):
+    assert kn.parse_potential(pot.label) == pot
+
+
 def test_plan_cutoffs_and_self_refinement():
     plan = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-12)
     assert 4.0 <= plan.r_cut <= 10.0
@@ -51,8 +58,8 @@ def test_plan_cutoffs_and_self_refinement():
     # realized truncation error against a much tighter reference plan
     ref = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-15)
     q = np.array([0.37])
-    v1 = kn.riesz_kernel(Z1, q, np.zeros(1), 2.0, plan).value
-    v2 = kn.riesz_kernel(Z1, q, np.zeros(1), 2.0, ref).value
+    v1 = kn.kernel_value(plan, q, np.zeros(1)).value
+    v2 = kn.kernel_value(ref, q, np.zeros(1)).value
     assert abs(v1 - v2) < 1e-12
 
 
@@ -67,8 +74,8 @@ def test_plan_realized_error_hex():
     plan = kn.plan_ewald(HEX, pot, 1e-10)
     ref = kn.plan_ewald(HEX, pot, 1e-14)
     q = HEX.to_cartesian(np.array([0.23, 0.61]))
-    v1 = kn.riesz_kernel(HEX, q, np.zeros(2), 1.0, plan).value
-    v2 = kn.riesz_kernel(HEX, q, np.zeros(2), 1.0, ref).value
+    v1 = kn.kernel_value(plan, q, np.zeros(2)).value
+    v2 = kn.kernel_value(ref, q, np.zeros(2)).value
     assert abs(v1 - v2) < 1e-10
 
 
@@ -79,10 +86,11 @@ def test_plan_unreachable_tolerance():
 
 def test_plan_mismatch_raised():
     plan = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-10)
+    q = np.array([[0.5]])
     with pytest.raises(PlanMismatch):
-        kn.riesz_kernel(Z1, np.array([0.5]), np.zeros(1), 3.0, plan)
+        kn.evaluate_batch(Z1, kn.Riesz(3.0), plan, q)
     with pytest.raises(PlanMismatch):
-        kn.log_kernel(Z1, np.array([0.5]), np.zeros(1), plan)
+        kn.evaluate_batch(Z1, kn.Log(), plan, q)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +120,7 @@ def test_riesz_small_s_vanishes():
 
 def test_riesz_at_lattice_point_infinite():
     plan = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-10)
-    kv = kn.riesz_kernel(Z1, np.array([1.0]), np.zeros(1), 2.0, plan)
+    kv = kn.kernel_value(plan, np.array([1.0]), np.zeros(1))
     assert kv.value == math.inf
 
 
@@ -122,8 +130,8 @@ def test_riesz_symmetry_bitwise():
     for _ in range(20):
         x = HEX.to_cartesian(rng.random(2))
         y = HEX.to_cartesian(rng.random(2))
-        a = kn.riesz_kernel(HEX, x, y, 1.3, plan).value
-        b = kn.riesz_kernel(HEX, y, x, 1.3, plan).value
+        a = kn.kernel_value(plan, x, y).value
+        b = kn.kernel_value(plan, y, x).value
         assert a == b
 
 
@@ -134,8 +142,8 @@ def test_riesz_periodicity():
         x = rng.random(2)
         y = rng.random(2)
         k = rng.integers(-3, 4, size=2).astype(float)
-        a = kn.riesz_kernel(Z2, x, y, 0.8, plan).value
-        b = kn.riesz_kernel(Z2, x + k, y, 0.8, plan).value
+        a = kn.kernel_value(plan, x, y).value
+        b = kn.kernel_value(plan, x + k, y).value
         assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
 
 
@@ -229,14 +237,14 @@ def test_coulomb_matches_riesz_s1():
     plan = kn.plan_ewald(Z3, kn.Riesz(1.0), 1e-12)
     x = np.array([0.5, 0.5, 0.5])
     a = kn.coulomb_kernel(Z3, x, np.zeros(3), plan)
-    b = kn.riesz_kernel(Z3, x, np.zeros(3), 1.0, plan)
+    b = kn.kernel_value(plan, x, np.zeros(3))
     assert math.isfinite(a.value)
     assert a.value == pytest.approx(b.value, abs=1e-12)
     rng = np.random.default_rng(9)
     for _ in range(5):
         y = rng.random(3)
         a = kn.coulomb_kernel(Z3, y, np.zeros(3), plan).value
-        b = kn.riesz_kernel(Z3, y, np.zeros(3), 1.0, plan).value
+        b = kn.kernel_value(plan, y, np.zeros(3)).value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -263,7 +271,7 @@ def test_logriesz_matches_s_derivative():
     s0, h = 1.3, 1e-5
     q = Z2.to_cartesian(np.array([0.27, 0.55]))
     plan = kn.plan_ewald(Z2, kn.LogRiesz(s0), 1e-12)
-    lr = kn.logriesz_kernel(Z2, q, np.zeros(2), s0, plan).value
+    lr = kn.kernel_value(plan, q, np.zeros(2)).value
     cd = (_riesz(Z2, q, s0 + h, tol=1e-13)
           - _riesz(Z2, q, s0 - h, tol=1e-13)) / h
     assert lr == pytest.approx(cd, rel=1e-6)
@@ -271,10 +279,10 @@ def test_logriesz_matches_s_derivative():
 
 def test_logriesz_symmetry_and_singularity():
     plan = kn.plan_ewald(Z1, kn.LogRiesz(2.0), 1e-12)
-    a = kn.logriesz_kernel(Z1, np.array([0.3]), np.zeros(1), 2.0, plan).value
-    b = kn.logriesz_kernel(Z1, np.zeros(1), np.array([0.3]), 2.0, plan).value
+    a = kn.kernel_value(plan, np.array([0.3]), np.zeros(1)).value
+    b = kn.kernel_value(plan, np.zeros(1), np.array([0.3])).value
     assert a == b
-    assert kn.logriesz_kernel(Z1, np.ones(1), np.zeros(1), 2.0, plan).value == math.inf
+    assert kn.kernel_value(plan, np.ones(1), np.zeros(1)).value == math.inf
 
 
 def test_logriesz_eta_invariance():
@@ -282,7 +290,7 @@ def test_logriesz_eta_invariance():
     vals = []
     for eta in (0.5, 1.0, 2.0):
         plan = kn.plan_ewald(Z1, kn.LogRiesz(1.7), 1e-12, eta=eta)
-        vals.append(kn.logriesz_kernel(Z1, q, np.zeros(1), 1.7, plan).value)
+        vals.append(kn.kernel_value(plan, q, np.zeros(1)).value)
     assert max(vals) - min(vals) <= 1e-9
 
 
@@ -293,7 +301,7 @@ def test_log_kernel_small_s_limit():
     s = 1e-5
     for _ in range(5):
         q = Z2.to_cartesian(rng.uniform(0.1, 0.9, 2))
-        lv = kn.log_kernel(Z2, q, np.zeros(2), plan).value
+        lv = kn.kernel_value(plan, q, np.zeros(2)).value
         rv = math.gamma(s / 2.0) * _riesz(Z2, q, s, tol=1e-13)
         assert abs(lv - rv) < 1e-4
 
@@ -302,8 +310,8 @@ def test_log_kernel_translation_invariance():
     plan = kn.plan_ewald(Z2, kn.Log(), 1e-12)
     x = np.array([0.31, 0.72])
     v = np.array([2.0, -1.0])
-    a = kn.log_kernel(Z2, x, np.zeros(2), plan).value
-    b = kn.log_kernel(Z2, x + v, np.zeros(2), plan).value
+    a = kn.kernel_value(plan, x, np.zeros(2)).value
+    b = kn.kernel_value(plan, x + v, np.zeros(2)).value
     assert abs(a - b) <= 1e-11
 
 
@@ -312,7 +320,7 @@ def test_log_kernel_eta_invariance():
     vals = []
     for eta in (0.5, 1.0, 2.0):
         plan = kn.plan_ewald(Z2, kn.Log(), 1e-12, eta=eta)
-        vals.append(kn.log_kernel(Z2, q, np.zeros(2), plan).value)
+        vals.append(kn.kernel_value(plan, q, np.zeros(2)).value)
     assert max(vals) - min(vals) <= 1e-10
 
 
@@ -403,7 +411,7 @@ _FAMILIES = (kn.Riesz(0.8), kn.Riesz(1.0), kn.LogRiesz(1.3), kn.Log(),
              kn.Gaussian(0.7))
 
 
-@pytest.mark.parametrize("pot", _FAMILIES, ids=kn.potential_label)
+@pytest.mark.parametrize("pot", _FAMILIES, ids=lambda p: p.label)
 @pytest.mark.parametrize("want_grad", (False, True))
 def test_blocked_batch_matches_row_by_row(monkeypatch, pot, want_grad):
     plan = kn.plan_ewald(Z2, pot, 1e-10)
@@ -532,7 +540,7 @@ def test_plans_match_reference():
     kn.Riesz(0.5), kn.Riesz(1.0), kn.Riesz(3.0), kn.Riesz(4.5),
     kn.LogRiesz(0.5), kn.LogRiesz(1.0), kn.LogRiesz(1.7), kn.Log(),
     kn.Gaussian(0.5),
-], ids=kn.potential_label)
+], ids=lambda p: p.label)
 def test_envelopes_match_array_formulas(pot, d):
     # the planner's envelopes take one float per quadrature node; they must
     # give what the array formulas of evaluate_batch give at the same point.
@@ -541,7 +549,7 @@ def test_envelopes_match_array_formulas(pot, d):
     # straddle 0.
     eta = 2.0
     env, _ = kn._direct_envelope(pot, eta)
-    terms = kn._direct_terms(pot, eta)
+    terms = pot.direct_terms(eta)
     for r in np.linspace(0.05, 12.0, 48):
         ref = abs(float(terms(np.array([r]))[0][0]))
         assert env(float(r)) == pytest.approx(ref, rel=1e-15, abs=0.0), r
@@ -549,7 +557,7 @@ def test_envelopes_match_array_formulas(pot, d):
     if isinstance(pot, kn.Gaussian):
         assert env is None
         return
-    coeffs = kn._dual_coeffs(pot, eta, d)
+    coeffs = pot.dual_coeffs(eta, d)
     for k in np.linspace(0.1, 6.0, 48):
         ref = abs(float(coeffs(np.array([k]))[0]))
         assert env(float(k)) == pytest.approx(ref, rel=1e-15, abs=0.0), k
