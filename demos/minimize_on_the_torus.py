@@ -1,11 +1,11 @@
 """Energy minimization on the torus.
 
-Runs the projected-descent minimizer with restarts and shows what it finds:
+Runs the L-BFGS minimizer with restarts and shows what it finds:
 equally spaced points on the circle (with the exact minimal energy), a
 comparison of random starts against the scaled-lattice start on the square
 lattice, and the growth table used to read off large-N rates.
 
-Run:  python3 demos/minimize_on_the_torus.py   (about a minute)
+Run:  python3 demos/minimize_on_the_torus.py   (a few seconds)
 """
 
 import math

@@ -1,10 +1,10 @@
-"""Periodic energies of point configurations and torus-constrained descent.
+"""Periodic energies of point configurations and their minimization.
 
 A configuration is N points in fractional coordinates on the torus; its
 energy is the sum of the periodic kernel over ordered point pairs.  The
 gradient is taken with respect to the fractional coordinates (chain rule
-through the lattice basis), which is also the parametrization the
-projected-descent minimizer works in.
+through the lattice basis), which is also the parametrization the L-BFGS
+minimizer works in.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "growth_diagnostic",
 ]
 
-_ARMIJO_C = 1e-4       # sufficient-decrease constant
-_BACKTRACK = 0.5       # step shrink factor
 _JITTER_GAP = 1e-6     # fractional pair distance that triggers start jitter
 
 
@@ -95,7 +93,9 @@ class EnergyReport:
 
 @dataclass
 class MinimizeResult:
-    """Best restart of a minimization, with the plan every restart used."""
+    """Best restart of a minimization, with the plan every restart used.
+    converged is the best restart's; restart_energies, restart_converged
+    and restart_iters (L-BFGS iterations) hold every restart in order."""
 
     best_config: Configuration
     best_energy: float
@@ -104,6 +104,8 @@ class MinimizeResult:
     plan: kn.EwaldPlan
     trajectory_summary: list = field(default_factory=list)
     restart_energies: list = field(default_factory=list)
+    restart_converged: list = field(default_factory=list)
+    restart_iters: list = field(default_factory=list)
 
 
 @dataclass
@@ -178,53 +180,51 @@ def _jitter_degenerate(lat, pts, rng):
     return pts
 
 
-def _descent(lat, pot, plan, pts0, max_iters, tol_grad):
-    """Backtracking projected gradient descent on the torus.
+def _relax(plan, pts0, max_iters, tol_grad):
+    """L-BFGS (Liu & Nocedal 1989) on the flattened fractional coordinates.
 
-    Returns (points, energy, converged, energy_trajectory); the trajectory
-    is non-increasing by construction.
+    The energy is periodic, so the iterates are never reduced mid-run
+    (Configuration reduces each trial on its own); only the returned points
+    are.  Returns (points, energy, converged, energy_trajectory); the
+    trajectory is the start energy, then the energy after each iteration,
+    and the line search's sufficient-decrease test keeps it non-increasing.
     """
-    pts = pts0
-    cfg = Configuration(lat, pts)
-    report = total_energy(cfg, pot, plan, with_gradient=True)
-    e = report.energy
-    g = report.gradient
-    traj = [e]
-    step = 1.0 / (pts.shape[0] ** 2)
-    converged = False
-    stalls = 0
-    for _ in range(max_iters):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm < tol_grad:
-            converged = True
-            break
-        gsq = float(np.sum(g * g))
-        t = step
-        accepted = False
-        for _ in range(60):
-            trial = lat.reduce_frac(pts - t * g)
-            trial_cfg = Configuration(lat, trial)
-            trial_rep = total_energy(trial_cfg, pot, plan, with_gradient=True)
-            if trial_rep.energy <= e - _ARMIJO_C * t * gsq:
-                accepted = True
-                break
-            t *= _BACKTRACK
-        if not accepted:
-            # no certifiable descent left at double precision: treat as
-            # converged when the gradient sits at the fp floor of the energy
-            converged = gnorm < max(tol_grad, 1e-7 * (1.0 + abs(e)))
-            break
-        if e - trial_rep.energy < 1e-14 * (1.0 + abs(e)):
-            stalls += 1
-        else:
-            stalls = 0
-        pts, e, g = trial, trial_rep.energy, trial_rep.gradient
-        traj.append(e)
-        step = min(t * 2.0, 1.0)
-        if stalls >= 3:
-            converged = gnorm < max(tol_grad, 1e-7 * (1.0 + abs(e)))
-            break
-    return pts, e, converged, traj
+    # imported here: scipy.optimize stays off the import path of perisum
+    from scipy.optimize import minimize as scipy_minimize
+
+    lat, pot = plan.lattice, plan.potential
+    shape = pts0.shape
+    traj = []
+
+    def energy_and_gradient(x):
+        rep = total_energy(Configuration(lat, x.reshape(shape)), pot, plan,
+                           with_gradient=True)
+        if not traj:
+            traj.append(rep.energy)
+        if rep.gradient is None:
+            # a coincident pair: +inf fails every sufficient-decrease test,
+            # so the line search never accepts this trial
+            return math.inf, np.zeros(x.size)
+        return rep.energy, rep.gradient.ravel()
+
+    # scipy hands the iterate's OptimizeResult to a callback only when its
+    # one parameter is named intermediate_result
+    res = scipy_minimize(
+        energy_and_gradient, pts0.ravel(), jac=True, method="L-BFGS-B",
+        callback=lambda intermediate_result: traj.append(
+            intermediate_result.fun),
+        options={"maxcor": 20, "gtol": tol_grad, "ftol": 0.0,
+                 "maxiter": max_iters})
+    e = float(res.fun)
+    gnorm = float(np.max(np.abs(res.jac)))
+    # decided from the returned gradient, never from scipy's status, which
+    # can report convergence after a +inf trial far from any minimum.  A
+    # run that stops before max_iters has met gtol or found no certifiable
+    # descent left at double precision; the latter counts when the gradient
+    # sits at the fp floor of the energy.
+    converged = (res.nit < max_iters and math.isfinite(e)
+                 and gnorm < max(tol_grad, 1e-7 * (1.0 + abs(e))))
+    return lat.reduce_frac(res.x.reshape(shape)), e, converged, traj
 
 
 def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
@@ -248,6 +248,8 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
         raise InvalidN("minimize needs at least two points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     lat, pot = plan.lattice, plan.potential
     d = lat.dimension
     if tol_grad is None:
@@ -257,6 +259,8 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
 
     best = None
     restart_energies = []
+    restart_converged = []
+    restart_iters = []
     best_traj = []
     for idx in range(restarts):
         rng = np.random.default_rng([seed, idx])
@@ -265,8 +269,10 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
         else:
             pts = rng.random((n, d))
         pts = _jitter_degenerate(lat, pts, rng)
-        pts, e, conv, traj = _descent(lat, pot, plan, pts, max_iters, tol_grad)
+        pts, e, conv, traj = _relax(plan, pts, max_iters, tol_grad)
         restart_energies.append(e)
+        restart_converged.append(conv)
+        restart_iters.append(len(traj) - 1)
         if best is None or e < best[0]:
             best = (e, idx, pts, conv)
             best_traj = traj
@@ -279,6 +285,8 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
         plan=plan,
         trajectory_summary=best_traj if keep_trajectory else [],
         restart_energies=restart_energies,
+        restart_converged=restart_converged,
+        restart_iters=restart_iters,
     )
 
 

@@ -104,6 +104,12 @@ def _expm1_over_du(u, a):
 # ---------------------------------------------------------------------------
 
 
+def _param_text(x):
+    """Shortest text that parses back to the float x, without a trailing
+    '.0' (so Riesz(1.0) is 'riesz:1')."""
+    return repr(float(x)).removesuffix(".0")
+
+
 @dataclass(frozen=True)
 class Riesz:
     """Inverse-power potential |x|^-s, s > 0."""
@@ -117,7 +123,7 @@ class Riesz:
 
     @property
     def label(self):
-        return f"riesz:{self.s:g}"
+        return f"riesz:{_param_text(self.s)}"
 
     def direct_rate(self, eta):
         return eta
@@ -173,7 +179,7 @@ class LogRiesz:
 
     @property
     def label(self):
-        return f"logriesz:{self.s:g}"
+        return f"logriesz:{_param_text(self.s)}"
 
     def direct_rate(self, eta):
         return eta
@@ -278,7 +284,7 @@ class Gaussian:
 
     @property
     def label(self):
-        return f"gaussian:{self.c:g}"
+        return f"gaussian:{_param_text(self.c)}"
 
     def direct_rate(self, eta):
         return self.c

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from perisum import cli
+from perisum import energy as en
 from perisum import kernel as kn
 from perisum.lattice import lattice_preset
 
@@ -171,7 +172,9 @@ def test_help_exits_zero():
 def test_minimize_payload_matches_stored_output(tmp_path):
     # minimize --lattice Z2 --potential riesz:1 --N 4 --restarts 2 --seed 3
     # --max-iters 200 as written before the plan was taken from the
-    # MinimizeResult instead of being rebuilt for the provenance block
+    # MinimizeResult instead of being rebuilt for the provenance block;
+    # points written again by the L-BFGS minimizer, which lands on the x<->y
+    # mirror image (plus a translation) of the gradient-descent minimum
     stored = json.loads(
         (Path(__file__).parent / "data" / "minimize_z2_riesz1.json").read_text())
     out = tmp_path / "m.json"
@@ -195,8 +198,20 @@ def test_minimize_payload_matches_stored_output(tmp_path):
     for key in payload:
         assert close(payload[key], stored[key]), key
     # the reused plan is the one a fresh plan_ewald call builds
-    fresh = kn.plan_ewald(lattice_preset("Z2"), kn.Riesz(1.0), 1e-10)
+    z2 = lattice_preset("Z2")
+    fresh = kn.plan_ewald(z2, kn.Riesz(1.0), 1e-10)
     assert payload["plan"] == json.loads(json.dumps(fresh.to_json_dict()))
+    # the points are path-dependent, their energy is not: both the payload's
+    # and the gradient-descent points stored before carry best_energy
+    descent_points = [[0.3655114197805002, 0.6906785093754567],
+                      [0.8655113867970917, 0.9406787412252169],
+                      [0.36551141978050017, 0.1906785093750677],
+                      [0.8655113867970917, 0.4406787412256441]]
+    for points in (payload["points"], descent_points):
+        e = en.total_energy(en.Configuration(z2, np.array(points)),
+                            kn.Riesz(1.0), fresh).energy
+        assert abs(e - payload["best_energy"]) <= (
+            1e-12 * abs(payload["best_energy"]))
 
 
 def test_kernel_eval_gaussian_through_plan(tmp_path):

@@ -46,9 +46,18 @@ def test_parse_potential():
 
 @pytest.mark.parametrize("pot", [kn.Riesz(0.75), kn.Riesz(2.0),
                                  kn.LogRiesz(1.5), kn.Log(),
-                                 kn.Gaussian(3.0)], ids=lambda p: p.label)
+                                 kn.Gaussian(3.0), kn.Riesz(1.2345678),
+                                 kn.LogRiesz(0.1 + 0.2), kn.Gaussian(1e-7)],
+                         ids=lambda p: p.label)
 def test_label_round_trip(pot):
     assert kn.parse_potential(pot.label) == pot
+
+
+def test_labels_in_use_keep_their_text():
+    # the checks grid's potentials, as every plan JSON names them
+    for text in ("riesz:0.5", "riesz:1", "riesz:2.5", "logriesz:0.5",
+                 "logriesz:1.7", "log", "gaussian:0.5", "gaussian:2"):
+        assert kn.parse_potential(text).label == text
 
 
 def test_plan_cutoffs_and_self_refinement():
