@@ -188,17 +188,23 @@ def _relax(plan, pts0, max_iters, tol_grad):
     are.  Returns (points, energy, converged, energy_trajectory); the
     trajectory is the start energy, then the energy after each iteration,
     and the line search's sufficient-decrease test keeps it non-increasing.
+    With max_iters < 1 the start comes back unrelaxed and not converged.
     """
+    lat, pot = plan.lattice, plan.potential
+    if max_iters < 1:
+        e = total_energy(Configuration(lat, pts0), pot, plan).energy
+        return lat.reduce_frac(pts0), e, False, [e]
     # imported here: scipy.optimize stays off the import path of perisum
     from scipy.optimize import minimize as scipy_minimize
 
-    lat, pot = plan.lattice, plan.potential
     shape = pts0.shape
     traj = []
+    last = [None]
 
     def energy_and_gradient(x):
         rep = total_energy(Configuration(lat, x.reshape(shape)), pot, plan,
                            with_gradient=True)
+        last[0] = rep.energy
         if not traj:
             traj.append(rep.energy)
         if rep.gradient is None:
@@ -207,12 +213,12 @@ def _relax(plan, pts0, max_iters, tol_grad):
             return math.inf, np.zeros(x.size)
         return rep.energy, rep.gradient.ravel()
 
-    # scipy hands the iterate's OptimizeResult to a callback only when its
-    # one parameter is named intermediate_result
+    # L-BFGS-B calls back after each iteration with the iterate it last
+    # evaluated; a one-argument callback gets it as an ndarray on every
+    # supported scipy, so the energy is taken from that last evaluation
     res = scipy_minimize(
         energy_and_gradient, pts0.ravel(), jac=True, method="L-BFGS-B",
-        callback=lambda intermediate_result: traj.append(
-            intermediate_result.fun),
+        callback=lambda xk: traj.append(last[0]),
         options={"maxcor": 20, "gtol": tol_grad, "ftol": 0.0,
                  "maxiter": max_iters})
     e = float(res.fun)
@@ -248,8 +254,6 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
         raise InvalidN("minimize needs at least two points")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     lat, pot = plan.lattice, plan.potential
     d = lat.dimension
     if tol_grad is None:

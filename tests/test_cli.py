@@ -103,6 +103,18 @@ def test_minimize_deterministic_output(tmp_path):
     assert len(payload["restart_energies"]) == 2
 
 
+def test_minimize_zero_iterations_reports_the_start(tmp_path):
+    out = tmp_path / "m.json"
+    assert run_cli(["minimize", "--lattice", "Z2", "--potential", "riesz:1",
+                    "--N", "4", "--restarts", "1", "--max-iters", "0",
+                    "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    start = en.Configuration.lattice_refinement(lattice_preset("Z2"), 2)
+    assert payload["points"] == start.points.tolist()
+    assert payload["converged"] is False
+    assert payload["restart_energies"] == [payload["best_energy"]]
+
+
 def test_growth_csv(tmp_path):
     out = tmp_path / "growth.csv"
     code = run_cli(["growth", "--lattice", "Z1", "--potential", "riesz:0.5",

@@ -193,22 +193,15 @@ def test_minimize_deterministic():
     assert a.restart_energies == b.restart_energies
 
 
-def test_minimize_reports_every_restart():
-    res = en.minimize(Z2, kn.Riesz(1.0), 5, restarts=3, seed=9,
-                      keep_trajectory=True)
-    assert len(res.restart_converged) == len(res.restart_iters) == 3
-    assert all(isinstance(c, bool) for c in res.restart_converged)
-    best = int(np.argmin(res.restart_energies))
-    assert res.restart_converged[best] == res.converged
-    assert res.restart_iters[best] == len(res.trajectory_summary) - 1
-
-
 def test_minimize_converged_is_honest(monkeypatch):
     # one iteration from a random start is not a minimum
     res = en.minimize(Z2, kn.Riesz(1.0), 5, restarts=1, seed=9, max_iters=1)
     assert res.converged is False and res.restart_iters == [1]
-    with pytest.raises(ValueError):
-        en.minimize(Z2, kn.Riesz(1.0), 5, max_iters=0)
+    # no iterations at all: the start comes back as it was
+    res = en.minimize(Z2, kn.Riesz(1.0), 4, restarts=1, max_iters=0)
+    start = en.Configuration.lattice_refinement(Z2, 2)
+    assert np.array_equal(res.best_config.points, start.points)
+    assert res.converged is False and res.restart_iters == [0]
 
     returned = []
     relax = en._relax
@@ -229,11 +222,17 @@ def test_minimize_converged_is_honest(monkeypatch):
                 assert np.max(np.abs(rep.gradient)) <= max(
                     tol_grad, 1e-7 * (1.0 + abs(e)))
 
-    # the benchmark's relax cases, every restart
+    # the benchmark's relax cases, every restart, each reported in
+    # restart_converged and restart_iters
     for lat, pot, n in ((Z1, kn.Riesz(0.5), 32), (Z2, kn.Riesz(1.0), 16)):
         for seed in (1, 2):
-            en.minimize(lat, pot, n, restarts=2, seed=seed,
-                        tol_grad=1e-8 * n * n)
+            res = en.minimize(lat, pot, n, restarts=2, seed=seed,
+                              tol_grad=1e-8 * n * n, keep_trajectory=True)
+            assert len(res.restart_converged) == len(res.restart_iters) == 2
+            assert all(isinstance(c, bool) for c in res.restart_converged)
+            best = int(np.argmin(res.restart_energies))
+            assert res.restart_converged[best] == res.converged
+            assert res.restart_iters[best] == len(res.trajectory_summary) - 1
     assert len(returned) == 8
     flagged_restarts_sit_at_the_floor()
 
