@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as kn
-from .errors import DegenerateConfiguration, InvalidN
+from .errors import DegenerateConfiguration, InvalidN, InvalidParameter
 from .lattice import Lattice
 
 __all__ = [
@@ -83,12 +83,15 @@ class Configuration:
 @dataclass
 class EnergyReport:
     """Energy value with diagnostics.  gradient is with respect to the
-    fractional coordinates and is None when the energy is infinite."""
+    fractional coordinates and is None when the energy is infinite.
+    abs_err_bound is N(N-1) times the plan's bound on each kernel value's
+    truncation error."""
 
     energy: float
     gradient: np.ndarray | None
     degenerate_pairs: list
     plan: kn.EwaldPlan
+    abs_err_bound: float
 
 
 @dataclass
@@ -137,7 +140,7 @@ def total_energy(cfg, pot, plan, with_gradient=False):
     n = cfg.n_points
     if n == 1:
         grad = np.zeros_like(cfg.points) if with_gradient else None
-        return EnergyReport(0.0, grad, [], plan)
+        return EnergyReport(0.0, grad, [], plan, 0.0)
     j, k, Q = _pair_differences(cfg)
     values, grads, degen = kn.evaluate_batch(
         cfg.lattice, pot, plan, Q, want_grad=with_gradient)
@@ -151,7 +154,8 @@ def total_energy(cfg, pot, plan, with_gradient=False):
         np.add.at(gradient, j, 2.0 * grads)
         np.add.at(gradient, k, -2.0 * grads)
         gradient = gradient @ cfg.lattice.basis
-    return EnergyReport(energy, gradient, degenerate_pairs, plan)
+    return EnergyReport(energy, gradient, degenerate_pairs, plan,
+                        n * (n - 1) * plan.guaranteed_abs_err)
 
 
 def energy_gradient(cfg, pot, plan):
@@ -253,7 +257,7 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
     if n < 2:
         raise InvalidN("minimize needs at least two points")
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise InvalidParameter(f"restarts must be at least 1, got {restarts}")
     lat, pot = plan.lattice, plan.potential
     d = lat.dimension
     if tol_grad is None:

@@ -34,7 +34,8 @@ class LatticePoint(PerisumError):
 
 
 class UnreachableTolerance(PerisumError):
-    """Requested truncation tolerance exceeds the configured shell budget."""
+    """Requested truncation tolerance needs more shells than the budget
+    allows, or lies below the rounding floor of the sum."""
 
 
 class DegenerateConfiguration(PerisumError):
@@ -43,6 +44,11 @@ class DegenerateConfiguration(PerisumError):
 
 class InvalidN(PerisumError):
     """Point count outside the operation's domain."""
+
+
+class InvalidParameter(PerisumError, ValueError):
+    """Numeric parameter outside its domain: a non-finite or non-positive
+    tolerance or splitting parameter, or fewer than one restart."""
 
 
 class UsageError(PerisumError):

@@ -29,15 +29,23 @@ taken from specfun without scipy's general incomplete gamma.
 
 Each potential family (Riesz, LogRiesz, Log, Gaussian) is one frozen
 dataclass that owns its split: label (its parse_potential string),
-singular, direct_rate(eta) (the Gaussian decay rate of its real-space
-terms), direct_terms(eta, want_grad), dual_coeffs(eta, d) (None for the
-Gaussian) and eta_constant(eta, d).  The term formulas are built once per
-(potential, eta, d) and take an array (evaluate_batch) or one float
-(plan_ewald's envelopes); with want_grad, direct_terms also returns the
-radial factor g'(r)/r, each term's gradient being radial * (q + v).
-Powers go through np.power because ** on a float rounds through libm, one
-ulp away from the array path in some cases, and the planner's tails would
-amplify it.  kernel_value(plan, x, y) is the one single-pair entry point.
+singular, direct_terms(eta, want_grad), dual_coeffs(eta, d) (None for the
+Gaussian), eta_constant(eta, d), and the majorants the planner bounds its
+tails with, direct_majorant(eta, r0) and dual_majorant(eta, d, k0).  The
+term formulas are built once per (potential, eta, d) and take an array or
+one float; with want_grad, direct_terms also returns the radial factor
+g'(r)/r, each term's gradient being radial * (q + v).  Powers go through
+np.power, so a float rounds as an array element does.
+
+plan_ewald certifies its cutoffs in closed form.  Each majorant has the
+form A rho^p exp(-alpha rho^2), p <= 0, and bounds |term| beyond the radius
+it is taken at; it follows from Gamma(sigma, x) <= c x^(sigma-1) e^-x
+(_gamma_factor) and, for log-Riesz, from log x <= log t <= log x + (t-x)/x
+on t >= x.  Counting lattice points by cells of circumradius
+half_cell_diameter turns the majorant into a tail bound made of
+exponentials and powers (_tail_bound), and each cutoff is found by
+bisection on that bound.  kernel_value(plan, x, y) is the one single-pair
+entry point.
 """
 
 from __future__ import annotations
@@ -46,12 +54,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sc
 
 from . import specfun as sf
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     LatticePoint,
     PlanMismatch,
     PolePoint,
@@ -83,6 +91,7 @@ _SIGMA_STEP = 1e-3     # step of the 4th-order d/dsigma Gamma(sigma, x) stencil
 # rows x images per block of evaluate_batch: bounds its temporaries to
 # about 12 MiB whatever the batch size
 _BLOCK_PAIR_IMAGES = 1 << 17
+_EPS = float(np.finfo(float).eps)
 
 
 def _expm1_over(u, a):
@@ -97,6 +106,35 @@ def _expm1_over_du(u, a):
     if abs(u * a) < 1e-6:
         return a * a * (0.5 + u * a / 3.0 + u * u * a * a / 8.0)
     return (a * math.exp(u * a) * u - math.expm1(u * a)) / (u * u)
+
+
+def _gamma_factor(sigma, x0):
+    """c with Gamma(sigma, x) <= c x^(sigma-1) e^-x for every x >= x0.
+
+    For sigma <= 1, t^(sigma-1) <= x^(sigma-1) on t >= x, so c = 1 (this
+    covers E1 and every negative order).  For sigma > 1, Gamma(sigma-1, x)
+    <= Gamma(sigma, x)/x in the recurrence Gamma(sigma, x) = x^(sigma-1)
+    e^-x + (sigma-1) Gamma(sigma-1, x) gives c = x/(x - sigma + 1), which
+    falls with x; it needs x0 > sigma - 1 and is infinite otherwise.
+    """
+    if sigma <= 1.0:
+        return 1.0
+    if x0 <= sigma - 1.0:
+        return math.inf
+    return x0 / (x0 - sigma + 1.0)
+
+
+def _dsigma_factor(sigma, x0, shift):
+    """k with |d/dsigma Gamma(sigma, x) - (log x - shift) Gamma(sigma, x)|
+    <= k x^(sigma-1) e^-x for every x >= x0.
+
+    On t >= x, log x <= log t <= log x + (t - x)/x, so d/dsigma Gamma minus
+    log x Gamma lies in [0, (Gamma(sigma+1, x) - x Gamma(sigma, x))/x], and
+    that is at most x^(sigma-1) e^-x once x >= sigma.
+    """
+    if x0 < sigma:
+        return math.inf
+    return 1.0 + abs(shift) * _gamma_factor(sigma, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +163,6 @@ class Riesz:
     def label(self):
         return f"riesz:{_param_text(self.s)}"
 
-    def direct_rate(self, eta):
-        return eta
-
     def direct_terms(self, eta, want_grad=False):
         s = self.s
         sig = 0.5 * s
@@ -148,6 +183,13 @@ class Riesz:
 
         return riesz_terms
 
+    def direct_majorant(self, eta, r0):
+        # Gamma(s/2, eta r^2) r^-s / Gamma(s/2) <= c eta^(s/2-1) r^-2 / Gamma(s/2)
+        # times exp(-eta r^2)
+        sig = 0.5 * self.s
+        c = _gamma_factor(sig, eta * r0 * r0)
+        return c * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
+
     def dual_coeffs(self, eta, d):
         s = self.s
         sig = (d - s) / 2.0
@@ -159,6 +201,15 @@ class Riesz:
             return pref * power * sf.gamma_upper_vec(sig, z)
 
         return riesz_coeffs
+
+    def dual_majorant(self, eta, d, k0):
+        # (pi k)^(s-d) Gamma(sig, z) <= c eta^(1-sig) (pi k)^-2 e^-z with
+        # z = pi^2 k^2 / eta
+        sig = (d - self.s) / 2.0
+        rate = math.pi**2 / eta
+        c = _gamma_factor(sig, rate * k0 * k0)
+        pref = math.pi ** (d / 2.0) / math.gamma(self.s / 2.0)
+        return c * pref * eta ** (1.0 - sig) / math.pi**2, -2.0, rate
 
     def eta_constant(self, eta, d):
         phi = _expm1_over(self.s - d, 0.5 * math.log(eta))
@@ -180,9 +231,6 @@ class LogRiesz:
     @property
     def label(self):
         return f"logriesz:{_param_text(self.s)}"
-
-    def direct_rate(self, eta):
-        return eta
 
     def direct_terms(self, eta, want_grad=False):
         s = self.s
@@ -213,6 +261,14 @@ class LogRiesz:
 
         return logriesz_terms
 
+    def direct_majorant(self, eta, r0):
+        # the term is r^-s / Gamma(s/2) times d/dsigma Gamma - (log x - shift)
+        # Gamma at x = eta r^2, shift = log eta - psi(s/2): the Riesz
+        # majorant with _dsigma_factor in place of _gamma_factor
+        sig = 0.5 * self.s
+        k = _dsigma_factor(sig, eta * r0 * r0, math.log(eta) - sf.digamma(sig))
+        return k * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
+
     def dual_coeffs(self, eta, d):
         s = self.s
         sig = (d - s) / 2.0
@@ -228,6 +284,16 @@ class LogRiesz:
             return 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
 
         return logriesz_coeffs
+
+    def dual_majorant(self, eta, d, k0):
+        # minus the same bracket at z = (pi k)^2 / eta, with 2 log(pi k) =
+        # log z + log eta
+        sig = (d - self.s) / 2.0
+        rate = math.pi**2 / eta
+        k = _dsigma_factor(sig, rate * k0 * k0,
+                           math.log(eta) - sf.digamma(self.s / 2.0))
+        pref = math.pi ** (d / 2.0) / math.gamma(self.s / 2.0)
+        return k * pref * eta ** (1.0 - sig) / math.pi**2, -2.0, rate
 
     def eta_constant(self, eta, d):
         s = self.s
@@ -245,9 +311,6 @@ class Log:
     singular = True
     label = "log"
 
-    def direct_rate(self, eta):
-        return eta
-
     def direct_terms(self, eta, want_grad=False):
         def log_terms(r):
             r2 = r * r
@@ -257,6 +320,10 @@ class Log:
 
         return log_terms
 
+    def direct_majorant(self, eta, r0):
+        # E1(x) <= e^-x / x
+        return 1.0 / eta, -2.0, eta
+
     def dual_coeffs(self, eta, d):
         pi_d2 = math.pi ** (d / 2.0)
 
@@ -265,6 +332,12 @@ class Log:
             return sf.gamma_upper_vec(d / 2.0, z) / (pi_d2 * np.power(k, d))
 
         return log_coeffs
+
+    def dual_majorant(self, eta, d, k0):
+        # Gamma(d/2, z) / (pi^(d/2) k^d) <= c pi^(d/2-2) eta^(1-d/2) k^-2 e^-z
+        rate = math.pi**2 / eta
+        c = _gamma_factor(d / 2.0, rate * k0 * k0)
+        return c * math.pi ** (d / 2.0 - 2.0) * eta ** (1.0 - d / 2.0), -2.0, rate
 
     def eta_constant(self, eta, d):
         return -(2.0 / d) * math.pi ** (d / 2.0) * (eta ** (-d / 2.0) - 1.0)
@@ -286,9 +359,6 @@ class Gaussian:
     def label(self):
         return f"gaussian:{_param_text(self.c)}"
 
-    def direct_rate(self, eta):
-        return self.c
-
     def direct_terms(self, eta, want_grad=False):
         c = self.c
 
@@ -298,7 +368,13 @@ class Gaussian:
 
         return gaussian_terms
 
+    def direct_majorant(self, eta, r0):
+        return 1.0, 0.0, self.c
+
     def dual_coeffs(self, eta, d):
+        return None
+
+    def dual_majorant(self, eta, d, k0):
         return None
 
     def eta_constant(self, eta, d):
@@ -390,109 +466,116 @@ class KernelValue:
     terms_dual: int
 
 
-def _sphere_area_coeff(d):
-    # surface area of the unit sphere in R^d
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+def _ball_volume(d):
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _direct_envelope(pot, eta):
-    """Magnitude of one real-space term as a function of a float distance,
-    through the term formula evaluate_batch uses, and the rate of its
-    Gaussian decay."""
-    terms = pot.direct_terms(eta)
+def _tail_bound(majorant, radius, cell, d):
+    """Upper bound on sum |term(|p|)| over the points p, |p| > radius, of a
+    translate of a unit-covolume lattice whose cells have circumradius cell,
+    given majorant = (A, power, rate): |term(rho)| <= F(rho) = A rho^power
+    exp(-rate rho^2) for rho >= radius, with power <= 0 so F decreases.
 
-    def env(r):
-        return abs(float(terms(r)[0]))
+    The cells centred on the points tile space, so at most V_d (rho +
+    cell)^d points lie within rho of the origin, and summation by parts
+    bounds the tail by V_d [(R + cell)^d F(R) + d int_R^inf (rho + cell)^(d-1)
+    F(rho) drho].  Expanding (rho + cell)^(d-1) leaves the integrals
+    int_R^inf rho^m e^(-rate rho^2) = Gamma((m+1)/2, x) / (2 rate^((m+1)/2)),
+    x = rate R^2, each at most _gamma_factor((m+1)/2, x) R^(m-1) e^-x /
+    (2 rate).
+    """
+    coeff, power, rate = majorant
+    x = rate * radius * radius
+    inner = 0.0
+    for k in range(d):
+        m = power + k
+        inner += (math.comb(d - 1, k) * cell ** (d - 1 - k)
+                  * _gamma_factor(0.5 * (m + 1.0), x) * radius ** (m - 1.0))
+    return _ball_volume(d) * coeff * math.exp(-x) * (
+        (radius + cell) ** d * radius**power + d * inner / (2.0 * rate))
 
-    return env, pot.direct_rate(eta)
+
+def _cutoff(tail, target, r_max, which):
+    """Bisect for the smallest radius (to 1e-6 relative) at which tail(radius)
+    <= target; returns the radius and its tail.  A NaN or infinite tail
+    counts as missing the target."""
+    lo, hi = 0.0, 1.0
+    while not tail(hi) <= target:
+        if hi >= r_max:
+            raise UnreachableTolerance(
+                f"{which} cutoff for a tail of {target:g} exceeds the shell budget")
+        lo, hi = hi, min(2.0 * hi, r_max)
+    while hi - lo > 1e-6 * hi:
+        mid = 0.5 * (lo + hi)
+        if tail(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi, tail(hi)
 
 
-def _dual_envelope(pot, eta, d):
-    """Magnitude of one reciprocal-space coefficient as a function of a
-    float dual norm, through the coefficient formula evaluate_batch uses, or
-    None when the potential needs no reciprocal correction (Gaussian)."""
+def _rounding_floor(lat, pot, eta):
+    """Machine epsilon times an a-priori magnitude of the sum's terms: the
+    largest of a real-space term at unit distance (the spacing of a
+    unit-covolume lattice), the reciprocal coefficient at the shortest dual
+    vector and the splitting constant.  Rounding alone reaches it, so no
+    smaller tolerance can be certified."""
+    d = lat.dimension
+    mags = [abs(float(pot.direct_terms(eta)(1.0)[0])), abs(pot.eta_constant(eta, d))]
     coeffs = pot.dual_coeffs(eta, d)
-    if coeffs is None:
-        return None, None
-
-    def env(k):
-        return abs(float(coeffs(k)))
-
-    return env, math.pi**2 / eta
-
-
-def _tail_integral(env, radius, d, shift, span):
-    """Upper estimate of the sum of env(|v| - shift) over shells beyond
-    radius, using the co-volume-1 shell density sigma_d rho^(d-1) with a
-    factor-2 safety margin for discreteness."""
-    coeff = 2.0 * _sphere_area_coeff(d)
-
-    def integrand(rho):
-        return coeff * rho ** (d - 1) * env(max(rho - shift, 1e-9))
-
-    val, _ = integrate.quad(integrand, radius, radius + span, limit=200)
-    return val
+    if coeffs is not None:
+        mags.append(abs(float(coeffs(min_dual_norm(lat)))))
+    return _EPS * max(mags)
 
 
 def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
-    """Choose truncation radii so each tail estimate is below tol/2.
+    """Choose truncation radii whose certified tail bounds are each at most
+    tol/2.
 
-    Each tail estimate integrates a term envelope over a window beyond the
-    candidate radius.  The envelopes are evaluated on scalars, one float per
-    quadrature node, through the same term formulas evaluate_batch applies
-    to arrays (pot.direct_terms, pot.dual_coeffs), with the constants of
-    (pot, eta, d) computed once per envelope rather than per node.  The
-    recorded bounds are the integral estimates used for the decision; they
-    can be recomputed from the plan's fields.
+    The direct sum keeps every lattice vector with |v| <= r_cut +
+    half_cell_diameter.  A min-imaged difference q has |q| <=
+    half_cell_diameter, so every omitted image has |q + v| > r_cut, and
+    _tail_bound of the family's direct majorant at r_cut bounds their sum.
+    The dual sum keeps every nonzero w with |w| <= k_cut and is bounded the
+    same way on the dual lattice, with its own cell and no shift.  Both
+    bounds are closed forms; each cutoff is the bisected smallest radius
+    whose bound is at most tol/2, and the plan records those bounds.
+
+    tol must be finite and positive and no smaller than the rounding floor
+    of the sum (_rounding_floor); eta must be finite and positive.  A cutoff
+    that would put more than shell_budget vectors inside its radius raises
+    UnreachableTolerance before any vector is enumerated.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameter(f"tol must be a positive finite number, got {tol}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise InvalidParameter(f"eta must be a positive finite number, got {eta}")
+    floor = _rounding_floor(lat, pot, eta)
+    if tol < floor:
+        raise UnreachableTolerance(
+            f"tol={tol:g} is below the rounding floor {floor:.2g} of the sum")
     d = lat.dimension
-    margin = lat.half_cell_diameter
-    shortest = float(np.min(np.linalg.norm(lat.basis, axis=0)))
+    cell = lat.half_cell_diameter
+    # at least V_d r^d vectors lie within r + cell (their cells cover the
+    # ball of radius r), and at least V_d (k - dual cell)^d - 1 nonzero dual
+    # vectors within k
+    r_max = (shell_budget / _ball_volume(d)) ** (1.0 / d)
 
-    env_dir, rate_dir = _direct_envelope(pot, eta)
-    span_dir = 10.0 + 6.0 / math.sqrt(rate_dir)
-    r_cut = max(shortest, margin + 1.0)
-    r_max = 60.0 * max(1.0, 1.0 / math.sqrt(rate_dir))
-    while True:
-        direct_tail = _tail_integral(env_dir, r_cut, d, margin, span_dir)
-        if direct_tail < tol / 2.0:
-            break
-        r_cut += 0.5
-        if r_cut > r_max:
-            raise UnreachableTolerance(
-                f"direct cutoff exceeded budget at tol={tol}")
+    r_cut, direct_tail = _cutoff(
+        lambda r: _tail_bound(pot.direct_majorant(eta, r), r, cell, d),
+        tol / 2.0, r_max, "direct")
+    k_cut = dual_tail = 0.0
+    if pot.dual_coeffs(eta, d) is not None:
+        dual_cell = lat.dual_half_cell_diameter
+        k_cut, dual_tail = _cutoff(
+            lambda k: _tail_bound(pot.dual_majorant(eta, d, k), k, dual_cell, d),
+            tol / 2.0, r_max + dual_cell, "dual")
 
-    env_dual, rate_dual = _dual_envelope(pot, eta, d)
-    if env_dual is None:
-        k_cut = 0.0
-        dual_tail = 0.0
-    else:
-        w0 = min_dual_norm(lat)
-        span_dual = 10.0 + 6.0 / math.sqrt(rate_dual)
-        k_cut = w0
-        k_max = 60.0 * max(1.0, 1.0 / math.sqrt(rate_dual))
-        while True:
-            dual_tail = _tail_integral(env_dual, k_cut, d, 0.0, span_dual)
-            if dual_tail < tol / 2.0:
-                break
-            k_cut += 0.25
-            if k_cut > k_max:
-                raise UnreachableTolerance(
-                    f"dual cutoff exceeded budget at tol={tol}")
-
-    direct = enumerate_shells(lat, "direct", r_cut + margin, include_origin=True)
+    direct = enumerate_shells(lat, "direct", r_cut + cell, include_origin=True)
     if len(direct) > shell_budget:
         raise UnreachableTolerance("direct shell count exceeds budget")
-    if k_cut > 0.0:
-        dual = enumerate_shells(lat, "dual", k_cut, include_origin=False)
-        wh, wn, _ = dual.half()
-    else:
-        wh = np.zeros((0, d))
-        wn = np.zeros((0,))
+    dual = enumerate_shells(lat, "dual", k_cut, include_origin=False)
+    wh, wn, _ = dual.half()
 
     return EwaldPlan(
         lattice=lat,
@@ -602,7 +685,8 @@ def kernel_value(plan, x, y):
 def gaussian_kernel(lat, x, y, c, r_cut):
     """Periodic Gaussian kernel: direct sum over |v| <= r_cut (+ cell
     margin), minus (pi/c)^(d/2) when c < 1 (the lattice-average constant);
-    no constant when c >= 1.  Always finite."""
+    no constant when c >= 1.  Always finite.  abs_err_bound is the
+    planner's closed-form tail bound at r_cut."""
     pot = Gaussian(c)
     d = lat.dimension
     margin = lat.half_cell_diameter
@@ -610,8 +694,7 @@ def gaussian_kernel(lat, x, y, c, r_cut):
     q = min_image_difference(lat, x, y)
     r2 = np.sum((q[None, :] + shells.vectors) ** 2, axis=1)
     total = float(np.exp(-c * r2).sum()) + pot.eta_constant(1.0, d)
-    env, _ = _direct_envelope(pot, 1.0)
-    tail = _tail_integral(env, r_cut, d, margin, 10.0 + 6.0 / math.sqrt(c))
+    tail = _tail_bound(pot.direct_majorant(1.0, r_cut), r_cut, margin, d)
     return KernelValue(
         value=total,
         abs_err_bound=tail,
@@ -701,6 +784,9 @@ def convergence_factor_oracle(lat, q, s, a_sequence):
     qm = min_image_difference(lat, q, np.zeros(d))
     if np.linalg.norm(qm) < 1e-12:
         raise LatticePoint("q reduces into the lattice")
+    # imported here: scipy.integrate stays off the import path of perisum
+    from scipy.integrate import quad
+
     gs = math.gamma(s / 2.0)
     out = []
     for a in a_sequence:
@@ -715,7 +801,7 @@ def convergence_factor_oracle(lat, q, s, a_sequence):
             # endpoint singularity t^(s/2-1) removed by t = u^(2/s)
             return (u ** (2.0 / s) + a * a) ** (-d / 2.0)
 
-        integral, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, limit=200)
+        integral, _ = quad(integrand, 0.0, 1.0, epsabs=1e-12, limit=200)
         integral *= (2.0 / s) * math.pi ** (d / 2.0) / gs
         out.append(lattice_sum - integral)
     return out

@@ -9,6 +9,7 @@ generator).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -86,13 +87,16 @@ class Lattice:
         return g
 
     @property
-    def column_norms(self):
-        return np.linalg.norm(self.basis, axis=0)
+    def half_cell_diameter(self):
+        """max |V f| over f in [-1/2, 1/2]^d: the largest norm of a
+        min-imaged point, and the circumradius of the cell centred on each
+        lattice vector."""
+        return _corner_radius(self.basis)
 
     @property
-    def half_cell_diameter(self):
-        """Upper bound on |V f| for f in [-1/2, 1/2]^d (min-imaged points)."""
-        return 0.5 * float(np.sum(self.column_norms))
+    def dual_half_cell_diameter(self):
+        """half_cell_diameter of the dual lattice's basis."""
+        return _corner_radius(self.dual_basis)
 
     # -- serialization -----------------------------------------------------
 
@@ -114,6 +118,14 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice(d={self.dimension}, basis={self.basis.tolist()})"
+
+
+def _corner_radius(basis):
+    """max |basis f| over the cube f in [-1/2, 1/2]^d.  The norm is convex in
+    f, so a corner of the cube attains the maximum."""
+    d = basis.shape[0]
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=d)))
+    return float(np.max(np.linalg.norm(corners @ basis.T, axis=1)))
 
 
 def lattice_from_basis(raw_basis):

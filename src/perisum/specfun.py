@@ -218,7 +218,7 @@ def _gamma_upper_from(base, gbase, steps, x):
 
 def gamma_upper_vec(sigma, x):
     """Vectorized Gamma(sigma, x) for scalar sigma and x > 0, an array or a
-    float (the planner's envelopes pass floats).
+    float (the planner's rounding floor passes one).
 
     Hot path for the Ewald sums: the regularized gamma above for
     sigma > 0, downward recurrence (through E1 at integer sigma) otherwise.

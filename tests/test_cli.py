@@ -321,3 +321,38 @@ def test_parser_built_once_survives_a_usage_error(capsys):
     fresh = subprocess.run([sys.executable, "-m", "perisum.cli", *argv],
                            capture_output=True, text=True, env=env, check=True)
     assert outs == [fresh.stdout] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--lattice", "Z1", "--potential", "riesz:2", "--N", "4",
+     "--restarts", "0"],
+    ["growth", "--lattice", "Z1", "--potential", "riesz:2", "--N", "4,8",
+     "--restarts", "0"],
+    ["kernel-eval", "--potential", "riesz:2", "--x", "0.3", "--y", "0",
+     "--tol", "0"],
+    ["kernel-eval", "--potential", "riesz:2", "--x", "0.3", "--y", "0",
+     "--tol", "nan"],
+    ["kernel-eval", "--potential", "riesz:2", "--x", "0.3", "--y", "0",
+     "--eta", "-1"],
+    ["kernel-eval", "--potential", "riesz:2", "--x", "0.3", "--y", "0",
+     "--tol", "1e-17"],
+], ids=["minimize-restarts-0", "growth-restarts-0", "tol-0", "tol-nan",
+        "eta-negative", "tol-below-rounding-floor"])
+def test_out_of_domain_input_exits_1(argv, capsys):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "budget" not in lines[0]
+
+
+def test_cli_import_leaves_out_integrate_and_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, perisum.cli; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

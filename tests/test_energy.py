@@ -8,7 +8,7 @@ import pytest
 from perisum import energy as en
 from perisum import kernel as kn
 from perisum import validate as vd
-from perisum.errors import DegenerateConfiguration, InvalidN
+from perisum.errors import DegenerateConfiguration, InvalidN, InvalidParameter
 from perisum.lattice import lattice_preset
 
 Z1 = lattice_preset("Z1")
@@ -263,6 +263,13 @@ def test_minimize_invalid_n():
         en.minimize(Z1, kn.Riesz(1.0), 1)
 
 
+def test_minimize_rejects_zero_restarts():
+    with pytest.raises(InvalidParameter):
+        en.minimize(Z1, kn.Riesz(1.0), 4, restarts=0)
+    with pytest.raises(ValueError):
+        en.minimize(Z1, kn.Riesz(1.0), 4, restarts=-2)
+
+
 def test_minimize_non_increasing_in_restarts():
     # the restart substreams are keyed by index, so adding restarts keeps
     # the earlier starts and can only improve the best energy
@@ -338,3 +345,25 @@ def test_energies_match_reference():
         grad = np.array(ref["gradient"])
         assert np.max(np.abs(rep.gradient - grad)) <= (
             1e-14 * np.max(np.abs(grad))), where
+
+
+def test_abs_err_bound_covers_reference_cases():
+    # abs_err_bound = N(N-1) times the plan's bound, and it covers the
+    # distance to a tol-1e-15 plan's energy (at the rounding floor where
+    # that is higher) on the 90 reference configurations
+    path = Path(__file__).parent / "data" / "energies_reference.json"
+    lats = {}
+    for ref in json.loads(path.read_text())["cases"]:
+        name, eta = ref["lattice"], ref["eta"]
+        lat = lats.setdefault(name, lattice_preset(name))
+        pot = kn.parse_potential(ref["potential"])
+        cfg = en.Configuration(lat, np.array(ref["points"]))
+        plan = kn.plan_ewald(lat, pot, ref["tol"], eta=eta)
+        tight = kn.plan_ewald(
+            lat, pot, max(1e-15, kn._rounding_floor(lat, pot, eta)), eta=eta)
+        rep = en.total_energy(cfg, pot, plan)
+        n = cfg.n_points
+        assert rep.abs_err_bound == n * (n - 1) * plan.guaranteed_abs_err
+        where = f"{name} {ref['potential']} eta={eta}"
+        assert abs(rep.energy - en.total_energy(cfg, pot, tight).energy) <= (
+            rep.abs_err_bound), where

@@ -9,6 +9,7 @@ from perisum import kernel as kn
 from perisum import specfun as sf
 from perisum.errors import (
     DimensionMismatch,
+    InvalidParameter,
     LatticePoint,
     PlanMismatch,
     PolePoint,
@@ -515,16 +516,17 @@ def test_evaluate_batch_memory_bounded_in_n():
 
 
 # ---------------------------------------------------------------------------
-# planner envelopes on scalars
+# planner: closed-form tail bounds
 # ---------------------------------------------------------------------------
 
 
 def test_plans_match_reference():
-    # cutoffs, term counts and tail bounds written before the envelopes took
-    # floats: the 240 kernel-eval plans of the benchmark's checks grid and
-    # the validate shift-suite plans at s > d (Z1 s = 3, 4.5; Z2 s = 6.5, 8;
-    # Z3 s = 9.5 at tol 1e-13), whose dual orders (d - s)/2 run the integer
-    # and the fractional downward recurrence
+    # cutoffs, term counts and tail bounds of the closed-form planner: the
+    # 240 kernel-eval plans of the benchmark's checks grid and the validate
+    # shift-suite plans at s > d (Z1 s = 3, 4.5; Z2 s = 6.5, 8; Z3 s = 9.5
+    # at tol 1e-13), whose dual orders (d - s)/2 run the integer and the
+    # fractional downward recurrence.  test_tail_bounds_hold is the gate
+    # these values were written under.
     path = Path(__file__).parent / "data" / "plans_reference.json"
     plans = json.loads(path.read_text())["plans"]
     assert len(plans) == 245
@@ -544,6 +546,146 @@ def test_plans_match_reference():
                 ref[key], rel=1e-12, abs=0.0), (where, key)
 
 
+_SWEEP_POTENTIALS = (kn.Riesz(0.5), kn.Riesz(1.0), kn.Riesz(4.5),
+                     kn.LogRiesz(0.5), kn.LogRiesz(2.5), kn.Log(),
+                     kn.Gaussian(0.5))
+
+
+def _omitted_terms(plan, ref, Q):
+    """Sum, at each row of Q, of the terms ref keeps beyond plan: its shell
+    enumerations extend plan's, so these are the terms plan truncates,
+    less ref's own tail."""
+    pot, eta, d = plan.potential, plan.eta, plan.lattice.dimension
+    n_direct = plan.terms_direct
+    assert np.array_equal(ref.direct_vectors[:n_direct], plan.direct_vectors)
+    V = ref.direct_vectors[n_direct:]
+    r = np.linalg.norm(Q[:, None, :] + V[None, :, :], axis=2)
+    total = pot.direct_terms(eta)(r)[0].sum(axis=1)
+    n_dual = plan.dual_vectors_half.shape[0]
+    assert np.array_equal(ref.dual_vectors_half[:n_dual], plan.dual_vectors_half)
+    W = ref.dual_vectors_half[n_dual:]
+    if W.shape[0]:
+        a = pot.dual_coeffs(eta, d)(ref.dual_norms_half[n_dual:])
+        total += 2.0 * (np.cos(2.0 * math.pi * (Q @ W.T)) @ a)
+    return total
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "hex", "fcc-like"])
+def test_tail_bounds_hold(name):
+    # every plan's actual truncation error is within its reported bound, at
+    # random min-imaged differences and at and next to a cell corner, where
+    # |q| is largest.  The error is measured against the same-eta plan at
+    # tol/1e3 (at the rounding floor where that is lower) as the terms that
+    # plan adds, so rounding in the terms both sums share does not enter,
+    # nor does the log-Riesz sigma-stencil error.  The potentials cover
+    # Gamma orders on both sides of 1 and below 0, E1 and the Gaussian.
+    lat = lattice_preset(name)
+    d = lat.dimension
+    rng = np.random.default_rng(17)
+    corner = rng.choice([-0.5, 0.5], size=(2, d))
+    f = np.vstack([rng.uniform(-0.5, 0.5, (6, d)), corner, corner * (1 - 1e-9)])
+    Q = lat.to_cartesian(f)
+    assert np.all(np.linalg.norm(Q, axis=1) <= lat.half_cell_diameter * (1 + 1e-15))
+    for pot in _SWEEP_POTENTIALS:
+        for eta in (0.25, 1.0, 4.0):
+            for tol in (1e-6, 1e-10, 1e-12):
+                plan = kn.plan_ewald(lat, pot, tol, eta)
+                assert plan.direct_tail_bound <= tol / 2
+                assert plan.dual_tail_bound <= tol / 2
+                ref_tol = max(tol / 1e3, kn._rounding_floor(lat, pot, eta))
+                ref = kn.plan_ewald(lat, pot, ref_tol, eta)
+                err = float(np.max(np.abs(_omitted_terms(plan, ref, Q))))
+                assert err + ref.guaranteed_abs_err <= plan.guaranteed_abs_err, (
+                    pot.label, eta, tol, err)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("pot", _SWEEP_POTENTIALS + (kn.Riesz(2.5),
+                                                     kn.LogRiesz(1.7)),
+                         ids=lambda p: p.label)
+def test_majorants_bound_terms(pot, d):
+    # A rho^p exp(-alpha rho^2), taken at a radius r0, is at least |term|
+    # from direct_terms / dual_coeffs at every rho >= r0 on a dense grid,
+    # while exp(-alpha rho^2) is a normal float.  At sigma = 1 the bound is
+    # attained, so the sides may differ by the rounding of exp(-x), about
+    # x ulps.
+    def check(majorant, values, r0):
+        a, p, alpha = majorant
+        rho = np.linspace(r0, r0 + 6.0, 400)
+        x = alpha * rho**2
+        rho, x = rho[x < 700.0], x[x < 700.0]
+        bound = a * rho**p * np.exp(-x) * (1.0 + 4.0 * np.finfo(float).eps * (1.0 + x))
+        assert np.all(np.abs(values(rho)) <= bound), r0
+
+    for eta in (0.25, 1.0, 4.0):
+        terms = pot.direct_terms(eta)
+        coeffs = pot.dual_coeffs(eta, d)
+        for r0 in (0.6, 1.0, 1.7, 3.0):
+            check(pot.direct_majorant(eta, r0), lambda r: terms(r)[0], r0)
+            if coeffs is None:
+                assert pot.dual_majorant(eta, d, r0) is None
+            else:
+                check(pot.dual_majorant(eta, d, r0), coeffs, r0)
+
+
+def test_tail_bound_against_brute_force_count():
+    # the counting bound against exact tails of a lattice sum of the
+    # majorant itself, so only the counting and the Gamma inequalities are
+    # loose; radii below and above the cell's circumradius
+    for name in ("Z1", "Z2", "hex", "fcc-like"):
+        lat = lattice_preset(name)
+        d, cell = lat.dimension, lat.half_cell_diameter
+        vecs = enumerate_shells(lat, "direct", 12.0).vectors
+        for f in (np.full(d, 0.5), np.full(d, 0.1)):
+            rho = np.linalg.norm(lat.to_cartesian(f) + vecs, axis=1)
+            for a, p, alpha in ((1.0, 0.0, 1.0), (0.3, -2.0, 0.5)):
+                for radius in (0.2, 0.5, 1.0, 2.0, 3.0):
+                    keep = rho > radius
+                    exact = float(np.sum(a * rho[keep] ** p
+                                         * np.exp(-alpha * rho[keep] ** 2)))
+                    bound = kn._tail_bound((a, p, alpha), radius, cell, d)
+                    assert exact <= bound, (name, radius, p)
+
+
+def test_plan_rejects_out_of_domain_parameters():
+    for tol in (0.0, -1e-10, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            kn.plan_ewald(Z2, kn.Riesz(1.0), tol)
+    for eta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            kn.plan_ewald(Z2, kn.Riesz(1.0), 1e-10, eta=eta)
+    # still a ValueError for existing callers
+    with pytest.raises(ValueError):
+        kn.plan_ewald(Z2, kn.Riesz(1.0), 0.0)
+
+
+def test_plan_rejects_tol_below_rounding_floor():
+    floor = kn._rounding_floor(Z2, kn.Riesz(1.0), 1.0)
+    assert 1e-17 < floor < 1e-15
+    with pytest.raises(UnreachableTolerance, match="rounding floor"):
+        kn.plan_ewald(Z2, kn.Riesz(1.0), 1e-17)
+    assert kn.plan_ewald(Z2, kn.Riesz(1.0), floor).tol == floor
+    # the splitting constant counts: at eta = 1/4 the Log constant is -9.4
+    with pytest.raises(UnreachableTolerance, match="rounding floor"):
+        kn.plan_ewald(Z2, kn.Log(), 1e-15, eta=0.25)
+
+
+def test_plan_budget_checked_before_enumeration(monkeypatch):
+    # a splitting parameter far from 1 puts the dual (large eta) or the
+    # direct (small eta) cutoff beyond the shell budget; the planner must
+    # say so without enumerating the vectors
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the budget")
+
+    monkeypatch.setattr(kn, "enumerate_shells", no_enumeration)
+    with pytest.raises(UnreachableTolerance, match="dual cutoff"):
+        kn.plan_ewald(Z3, kn.Riesz(1.0), 1e-10, eta=1e6)
+    with pytest.raises(UnreachableTolerance, match="direct cutoff"):
+        kn.plan_ewald(Z3, kn.Riesz(1.0), 1e-6, eta=0.01, shell_budget=1000)
+    with pytest.raises(UnreachableTolerance, match="direct cutoff"):
+        kn.plan_ewald(Z2, kn.Riesz(0.5), 1e-12, shell_budget=10)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("pot", [
     kn.Riesz(0.5), kn.Riesz(1.0), kn.Riesz(3.0), kn.Riesz(4.5),
@@ -551,22 +693,22 @@ def test_plans_match_reference():
     kn.Gaussian(0.5),
 ], ids=lambda p: p.label)
 def test_envelopes_match_array_formulas(pot, d):
-    # the planner's envelopes take one float per quadrature node; they must
-    # give what the array formulas of evaluate_batch give at the same point.
-    # Dual orders (d - s)/2 here cover sigma > 0, the erfc branch, sigma = 0
-    # (E1), integer and fractional sigma < 0, and log-Riesz stencils that
-    # straddle 0.
+    # the term formulas take one float (as the planner's rounding floor
+    # calls them) and give what they give an array element at the same
+    # point.  Dual orders (d - s)/2 here cover sigma > 0, the erfc branch,
+    # sigma = 0 (E1), integer and fractional sigma < 0, and log-Riesz
+    # stencils that straddle 0.
     eta = 2.0
-    env, _ = kn._direct_envelope(pot, eta)
     terms = pot.direct_terms(eta)
     for r in np.linspace(0.05, 12.0, 48):
         ref = abs(float(terms(np.array([r]))[0][0]))
-        assert env(float(r)) == pytest.approx(ref, rel=1e-15, abs=0.0), r
-    env, _ = kn._dual_envelope(pot, eta, d)
-    if isinstance(pot, kn.Gaussian):
-        assert env is None
-        return
+        assert abs(float(terms(float(r))[0])) == pytest.approx(
+            ref, rel=1e-15, abs=0.0), r
     coeffs = pot.dual_coeffs(eta, d)
+    if isinstance(pot, kn.Gaussian):
+        assert coeffs is None
+        return
     for k in np.linspace(0.1, 6.0, 48):
         ref = abs(float(coeffs(np.array([k]))[0]))
-        assert env(float(k)) == pytest.approx(ref, rel=1e-15, abs=0.0), k
+        assert abs(float(coeffs(float(k)))) == pytest.approx(
+            ref, rel=1e-15, abs=0.0), k

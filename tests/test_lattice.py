@@ -154,3 +154,28 @@ def test_json_roundtrip():
     assert np.array_equal(lat.basis, lat2.basis)
     assert obj["dim"] == 3
     assert len(obj["basis"]) == 9
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "hex", "fcc-like"])
+def test_half_cell_diameter_is_exact(name):
+    # max |V f| over a dense grid of f in [-1/2, 1/2]^d, corners included
+    lat = lattice_preset(name)
+    d = lat.dimension
+    axis = np.linspace(-0.5, 0.5, {1: 201, 2: 101, 3: 41}[d])
+    f = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    for basis, radius in ((lat.basis, lat.half_cell_diameter),
+                          (lat.dual_basis, lat.dual_half_cell_diameter)):
+        grid_max = float(np.max(np.linalg.norm(f @ basis.T, axis=1)))
+        assert grid_max == pytest.approx(radius, rel=1e-15)
+    expected = {"Z3": math.sqrt(3.0) / 2.0, "hex": 0.9306}.get(name)
+    if expected is not None:
+        assert lat.half_cell_diameter == pytest.approx(expected, abs=1e-4)
+
+
+def test_half_cell_diameter_bounds_skewed_cells():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        lat = lattice_from_basis(rng.normal(size=(3, 3)))
+        f = rng.uniform(-0.5, 0.5, (20000, 3))
+        assert np.max(np.linalg.norm(lat.to_cartesian(f), axis=1)) <= (
+            lat.half_cell_diameter)
