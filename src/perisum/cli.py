@@ -2,9 +2,10 @@
 
 Subcommands: kernel-eval, energy, minimize, growth, validate, specfun-eval.
 Points are fractional coordinates by default (--cartesian converts through
-the basis).  Output is JSON or CSV with 17 significant digits so files
-round-trip losslessly; identical arguments and seed reproduce bitwise
-identical files.  Exit codes: 0 success, 1 failed validation, 2 usage error.
+the basis).  Output is JSON (growth can also write its table as CSV) with
+17 significant digits so files round-trip losslessly; identical arguments
+and seed reproduce bitwise identical files.  Exit codes: 0 success, 1 failed
+validation or input outside its domain, 2 usage error.
 
 Environment: PERISUM_TOL overrides the default tolerance when --tol is not
 given.
@@ -138,7 +139,6 @@ def build_parser():
         sp.add_argument("--eta", type=float, default=1.0,
                         help="Ewald splitting parameter")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--cartesian", action="store_true",
                         help="interpret point inputs as Cartesian")
 
@@ -168,6 +168,7 @@ def build_parser():
     gr.add_argument("--restarts", type=int, default=2)
     gr.add_argument("--max-iters", type=int, default=2000)
     gr.add_argument("--seed", type=int, default=0)
+    gr.add_argument("--format", choices=("json", "csv"), default="json")
 
     va = sub.add_parser("validate", help="run identity-check suites")
     va.add_argument("--suite", default="all",
@@ -210,7 +211,7 @@ def _cmd_kernel_eval(args):
         "lattice": lat.to_json_dict(),
         **_provenance(plan),
     }
-    _write_output(payload, args.out, args.format)
+    _write_output(payload, args.out)
     return 0
 
 
@@ -237,7 +238,7 @@ def _cmd_energy(args):
         "lattice": lat.to_json_dict(),
         **_provenance(plan),
     }
-    _write_output(payload, args.out, args.format)
+    _write_output(payload, args.out)
     return 0
 
 
@@ -258,7 +259,7 @@ def _cmd_minimize(args):
         "lattice": lat.to_json_dict(),
         **_provenance(res.plan),
     }
-    _write_output(payload, args.out, args.format)
+    _write_output(payload, args.out)
     return 0
 
 
@@ -304,14 +305,17 @@ def _cmd_validate(args):
 
 def _cmd_specfun_eval(args):
     fn = getattr(sf, args.fn)
-    arglist = [float(v) for v in args.args.split(",") if v != ""]
+    try:
+        arglist = [float(v) for v in args.args.split(",") if v != ""]
+    except ValueError:
+        raise UsageError(f"--args expects comma-separated numbers, got {args.args!r}")
     try:
         val = fn(*arglist)
     except TypeError as exc:
         raise UsageError(f"bad arguments for {args.fn}: {exc}")
     payload = {"fn": args.fn, "args": arglist, "value": _fmt(float(val)),
                **_provenance()}
-    _write_output(payload, args.out, "json")
+    _write_output(payload, args.out)
     return 0
 
 

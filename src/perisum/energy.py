@@ -44,9 +44,9 @@ class Configuration:
         if pts.shape[0] < 1:
             raise InvalidN("configuration needs at least one point")
         if pts.shape[1] != self.lattice.dimension:
-            raise ValueError("points have wrong dimension for the lattice")
+            raise InvalidParameter("points have wrong dimension for the lattice")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
+            raise InvalidParameter("points must be finite")
         self.points = self.lattice.reduce_frac(pts)
 
     @property
@@ -304,7 +304,7 @@ def growth_diagnostic(lat, pot, n_list, tol=1e-12, **opts):
     are minimize's other options.  The power column uses the potential's
     exponent s and is NaN for families without one."""
     if list(n_list) != sorted(n_list):
-        raise ValueError("n_list must be increasing")
+        raise InvalidParameter(f"n_list must be increasing, got {list(n_list)}")
     d = lat.dimension
     s = getattr(pot, "s", None)
     plan = kn.plan_ewald(lat, pot, tol)

@@ -48,12 +48,10 @@ class InvalidN(PerisumError):
 
 class InvalidParameter(PerisumError, ValueError):
     """Numeric parameter outside its domain: a non-finite or non-positive
-    tolerance or splitting parameter, or fewer than one restart."""
+    tolerance or splitting parameter, fewer than one restart, a decreasing
+    N list, a non-finite point or one of the wrong dimension, or a
+    special-function argument outside the function's domain."""
 
 
 class UsageError(PerisumError):
     """Bad command-line arguments."""
-
-
-class PrecisionLossWarning(UserWarning):
-    """A series or continued fraction stopped before reaching target accuracy."""

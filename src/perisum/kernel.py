@@ -14,10 +14,11 @@ kernel of exponent s reads
 where the constant is continued through s = d by expm1.  eta = 1 recovers
 the canonical split; the value is independent of eta, which the test suite
 checks numerically.  The log-Riesz kernel is 2 d/ds of the Riesz kernel
-(term-wise, with the sigma-derivative of the incomplete gamma taken by a
-small central difference), the logarithmic kernel replaces the gamma terms
-by E1 and Gamma(d/2, .), and the Gaussian kernel is an absolutely
-convergent direct sum minus its lattice-average constant.
+(term-wise, with the sigma-derivative of the incomplete gamma taken by
+specfun.gamma_upper_dsigma_vec, whose fourth-order stencil and step live in
+specfun), the logarithmic kernel replaces the gamma terms by E1 and
+Gamma(d/2, .), and the Gaussian kernel is an absolutely convergent direct
+sum minus its lattice-average constant.
 
 evaluate_batch makes one pass over blocks of difference rows, each block
 holding at most _BLOCK_PAIR_IMAGES (row, direct image) pairs, so its
@@ -87,10 +88,11 @@ __all__ = [
 ]
 
 _SINGULAR_EPS = 1e-13  # |q + v| below this counts as a lattice point
-_SIGMA_STEP = 1e-3     # step of the 4th-order d/dsigma Gamma(sigma, x) stencil
 # rows x images per block of evaluate_batch: bounds its temporaries to
 # about 12 MiB whatever the batch size
 _BLOCK_PAIR_IMAGES = 1 << 17
+# most vectors plan_ewald enumerates for one sum
+_SHELL_BUDGET = 500_000
 _EPS = float(np.finfo(float).eps)
 
 
@@ -245,7 +247,7 @@ class LogRiesz:
             x = eta * r2
             rpow = np.power(r, -s)
             t = sf.gamma_upper_reg_vec(sig, x) * rpow
-            t2 = sf.gamma_upper_dsigma_vec(sig, x, _SIGMA_STEP)
+            t2 = sf.gamma_upper_dsigma_vec(sig, x)
             t2 *= rpow
             t2 /= gs
             t2 -= 2.0 * np.log(r) * t
@@ -280,7 +282,7 @@ class LogRiesz:
             pk = math.pi * k
             power = np.power(pk, s - d)
             a = pref * power * sf.gamma_upper_vec(sig, z)
-            dsig = sf.gamma_upper_dsigma_vec(sig, z, _SIGMA_STEP)
+            dsig = sf.gamma_upper_dsigma_vec(sig, z)
             return 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
 
         return logriesz_coeffs
@@ -528,7 +530,7 @@ def _rounding_floor(lat, pot, eta):
     return _EPS * max(mags)
 
 
-def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
+def plan_ewald(lat, pot, tol, eta=1.0):
     """Choose truncation radii whose certified tail bounds are each at most
     tol/2.
 
@@ -543,7 +545,7 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
 
     tol must be finite and positive and no smaller than the rounding floor
     of the sum (_rounding_floor); eta must be finite and positive.  A cutoff
-    that would put more than shell_budget vectors inside its radius raises
+    that would put more than _SHELL_BUDGET vectors inside its radius raises
     UnreachableTolerance before any vector is enumerated.
     """
     if not (math.isfinite(tol) and tol > 0.0):
@@ -559,7 +561,7 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
     # at least V_d r^d vectors lie within r + cell (their cells cover the
     # ball of radius r), and at least V_d (k - dual cell)^d - 1 nonzero dual
     # vectors within k
-    r_max = (shell_budget / _ball_volume(d)) ** (1.0 / d)
+    r_max = (_SHELL_BUDGET / _ball_volume(d)) ** (1.0 / d)
 
     r_cut, direct_tail = _cutoff(
         lambda r: _tail_bound(pot.direct_majorant(eta, r), r, cell, d),
@@ -572,7 +574,7 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
             tol / 2.0, r_max + dual_cell, "dual")
 
     direct = enumerate_shells(lat, "direct", r_cut + cell, include_origin=True)
-    if len(direct) > shell_budget:
+    if len(direct) > _SHELL_BUDGET:
         raise UnreachableTolerance("direct shell count exceeds budget")
     dual = enumerate_shells(lat, "dual", k_cut, include_origin=False)
     wh, wn, _ = dual.half()
@@ -600,8 +602,12 @@ def plan_ewald(lat, pot, tol, eta=1.0, shell_budget=500_000):
 def min_image_difference(lat, x, y):
     """Minimum-image Cartesian representative of x - y, sign-canonicalized
     (first nonzero fractional coordinate made positive) so that swapping x
-    and y reproduces the identical representative."""
-    f = lat.to_fractional(np.asarray(x, float) - np.asarray(y, float))
+    and y reproduces the identical representative.  Non-finite points raise
+    InvalidParameter."""
+    diff = np.asarray(x, float) - np.asarray(y, float)
+    if not np.all(np.isfinite(diff)):
+        raise InvalidParameter("points must be finite")
+    f = lat.to_fractional(diff)
     f = f - np.round(f)
     nz = np.nonzero(np.abs(f) > 0.0)[0]
     if nz.size and f[nz[0]] < 0.0:

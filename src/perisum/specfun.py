@@ -10,18 +10,14 @@ Routine functions (erfc, digamma, E1, ...) delegate to math/scipy.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import special as sc
 
-from .errors import DivergentIntegral, PoleAtOne, PrecisionLossWarning
+from .errors import DivergentIntegral, InvalidParameter, PoleAtOne
 
 __all__ = [
-    "PrecisionPolicy",
-    "DEFAULT_POLICY",
     "gamma_upper",
     "gamma_upper_reg_vec",
     "gamma_upper_vec",
@@ -39,24 +35,6 @@ __all__ = [
     "stieltjes_gamma1",
 ]
 
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Accuracy request for the locally implemented series and fractions."""
-
-    target_rel_err: float = 1e-13
-    max_terms: int = 400
-
-    def __post_init__(self):
-        if not (0.0 < self.target_rel_err <= 1e-3):
-            raise ValueError(
-                f"target_rel_err must lie in (0, 1e-3], got {self.target_rel_err}"
-            )
-        if self.max_terms < 10:
-            raise ValueError("max_terms too small to be useful")
-
-
-DEFAULT_POLICY = PrecisionPolicy()
 
 # Euler-Maclaurin setup for the Hurwitz zeta: 16 shifted direct terms,
 # Bernoulli corrections through B12.  The first omitted correction (B14) is
@@ -76,104 +54,8 @@ _BERNOULLI_OVER_FACT = [
 # upper incomplete gamma
 # ---------------------------------------------------------------------------
 
-
-def _gamma_upper_cf(sigma, x, policy):
-    """Continued fraction for Gamma(sigma, x), reliable for x > sigma + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - sigma
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, policy.max_terms + 1):
-        an = -i * (i - sigma)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < policy.target_rel_err:
-            break
-    else:
-        warnings.warn("incomplete gamma continued fraction did not converge",
-                      PrecisionLossWarning)
-    return math.exp(-x + sigma * math.log(x)) * h
-
-
-def _gamma_lower_series(sigma, x, policy):
-    """Series for the lower incomplete gamma(sigma, x), for x <= sigma + 1."""
-    ap = sigma
-    term = 1.0 / sigma
-    total = term
-    for _ in range(policy.max_terms):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * policy.target_rel_err:
-            break
-    else:
-        warnings.warn("incomplete gamma series did not converge",
-                      PrecisionLossWarning)
-    return total * math.exp(-x + sigma * math.log(x))
-
-
-def _gamma_upper_zero(x, policy):
-    """Gamma(0, x) = E1(x) without delegating to scipy, so the identity
-    E1(x) == gamma_upper(0, x) stays a two-route check."""
-    if x > 1.0:
-        return _gamma_upper_cf(0.0, x, policy)
-    total = 0.0
-    term = 1.0
-    for k in range(1, policy.max_terms):
-        term *= -x / k
-        total -= term / k
-        if abs(term) < policy.target_rel_err * max(1.0, abs(total)):
-            break
-    return -EULER_GAMMA - math.log(x) + total
-
-
-def gamma_upper(sigma, x, policy=None):
-    """Upper incomplete gamma Gamma(sigma, x) = int_x^inf t^(sigma-1) e^-t dt.
-
-    Continued-fraction branch for x > sigma + 1, series branch otherwise;
-    sigma <= 0 (with x > 0) is reached by stepping down with
-    Gamma(sigma, x) = (Gamma(sigma+1, x) - x^sigma e^-x) / sigma.
-    """
-    policy = policy or DEFAULT_POLICY
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    if x == 0.0:
-        if sigma <= 0.0:
-            raise DivergentIntegral("Gamma(sigma, 0) diverges for sigma <= 0")
-        return math.gamma(sigma)
-    if sigma <= 0.0:
-        n = int(math.ceil(-sigma))
-        base = sigma + n + 1.0  # in (1, 2]
-        if abs(sigma - round(sigma)) < 1e-12:
-            # integer sigma <= 0: the recurrence passes through sigma = 0
-            g = _gamma_upper_zero(x, policy)
-            steps = int(round(-sigma))
-            sig = 0.0
-        else:
-            g = _gamma_upper_principal(base, x, policy)
-            steps = n + 1
-            sig = base
-        emx = math.exp(-x)
-        for _ in range(steps):
-            sig -= 1.0
-            g = (g - x**sig * emx) / sig
-        return g
-    return _gamma_upper_principal(sigma, x, policy)
-
-
-def _gamma_upper_principal(sigma, x, policy):
-    if x > sigma + 1.0:
-        return _gamma_upper_cf(sigma, x, policy)
-    return math.gamma(sigma) - _gamma_lower_series(sigma, x, policy)
+# step of the 4th-order d/dsigma Gamma(sigma, x) stencil
+_DSIGMA_STEP = 1e-3
 
 
 def gamma_upper_reg_vec(sigma, x):
@@ -191,24 +73,34 @@ def gamma_upper_reg_vec(sigma, x):
     return sc.gammaincc(sigma, x)
 
 
-def _downward_start(sigma):
-    """Where gamma_upper_vec starts for order sigma: (base, Gamma(base),
-    steps), so that `steps` downward steps from Gamma(base, x) reach sigma;
-    Gamma(base) is None for integer sigma <= 0, which starts from E1."""
+def _checked(sigma, x):
+    """x as a float or a float array, once every element lies in the domain
+    of Gamma(sigma, .); NaN passes through."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    lo = np.min(x, initial=np.inf)
+    if lo < 0.0:
+        raise InvalidParameter(f"Gamma(sigma, x) needs x >= 0, got x = {lo}")
+    if lo == 0.0 and sigma <= 0.0:
+        raise DivergentIntegral(f"Gamma({sigma}, 0) diverges for sigma <= 0")
+    return x
+
+
+def _gamma_upper(sigma, x):
+    """Gamma(sigma, x) on a checked x: the regularized gamma for sigma > 0;
+    otherwise downward recurrence Gamma(sigma-1, x) = (Gamma(sigma, x) -
+    x^(sigma-1) e^-x) / (sigma-1) from the fractional part of sigma, or from
+    E1 at integer sigma."""
     if sigma > 0.0:
-        return sigma, math.gamma(sigma), 0
+        return gamma_upper_reg_vec(sigma, x) * math.gamma(sigma)
     if abs(sigma - round(sigma)) < 1e-12:
-        return 0.0, None, int(round(-sigma))
-    frac = sigma - math.floor(sigma)
-    return frac, math.gamma(frac), int(round(frac - sigma))
-
-
-def _gamma_upper_from(base, gbase, steps, x):
-    """Gamma(base - steps, x) by downward recurrence from Gamma(base, x)."""
-    g = sc.exp1(x) if gbase is None else gamma_upper_reg_vec(base, x) * gbase
+        sig, g = 0.0, sc.exp1(x)
+    else:
+        sig = sigma - math.floor(sigma)
+        g = gamma_upper_reg_vec(sig, x) * math.gamma(sig)
+    steps = int(round(sig - sigma))
     if steps:
         emx = np.exp(-x)
-        sig = base
         for _ in range(steps):
             sig = sig - 1.0
             # np.power rounds a float as it rounds an array element
@@ -217,45 +109,45 @@ def _gamma_upper_from(base, gbase, steps, x):
 
 
 def gamma_upper_vec(sigma, x):
-    """Vectorized Gamma(sigma, x) for scalar sigma and x > 0, an array or a
-    float (the planner's rounding floor passes one).
+    """Upper incomplete gamma Gamma(sigma, x) = int_x^inf t^(sigma-1) e^-t dt
+    for scalar sigma and x >= 0, an array or a float.
 
-    Hot path for the Ewald sums: the regularized gamma above for
-    sigma > 0, downward recurrence (through E1 at integer sigma) otherwise.
-    The recurrence loses relative accuracy where the value underflows the
-    leading x^sigma e^-x scale, but the absolute error stays below
-    machine epsilon times that scale, which is what the kernel sums need.
+    Every order the kernels, the planner and specfun-eval use goes through
+    here.  x < 0 raises InvalidParameter; x = 0 gives Gamma(sigma) for
+    sigma > 0 and raises DivergentIntegral for sigma <= 0.
+
+    Accuracy, measured against mpmath at 30 digits over sigma in [-3, 30]
+    and x in (0, 50]: within 3.6e-14 relative for sigma > 0 (scipy's
+    gammaincc).  For sigma <= 0 a recurrence step to order o cancels where
+    x > |o| and divides by o, so it multiplies the relative error by about
+    max(1, x/|o|); the error stays within 1.2e-14 times the product of
+    these factors.  That is 3e-12 at most for x <= 5 and ~1e-9 near x = 50
+    (sigma = -2.19, x = 50: 1.0e-9), but grows without bound as sigma
+    approaches an integer from below, where the first step divides by
+    sigma - ceil(sigma): Gamma(-1e-9, 30) is 3.8e-5 off.
     """
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
-    return _gamma_upper_from(*_downward_start(sigma), x)
+    return _gamma_upper(sigma, _checked(sigma, x))
 
 
-@lru_cache(maxsize=64)
-def _stencil_starts(sigma, step):
-    """Downward starts of the stencil orders sigma + 2 step, sigma + step,
-    sigma - step and sigma - 2 step."""
-    return tuple(_downward_start(o) for o in (sigma + 2.0 * step, sigma + step,
-                                              sigma - step, sigma - 2.0 * step))
-
-
-def gamma_upper_dsigma_vec(sigma, x, step=1e-3):
-    """d/dsigma Gamma(sigma, x) by a fourth-order central difference.
+def gamma_upper_dsigma_vec(sigma, x):
+    """d/dsigma Gamma(sigma, x) by a fourth-order central difference of
+    step _DSIGMA_STEP.
 
     The wide step with a 4th-order stencil keeps the rounding-noise floor
     near 1e-12 * Gamma(sigma, x) while the truncation error stays below
     ~1e-9 relative; a narrow 2-point difference would leave an erratic
     1/step-amplified ripple that finite differences of downstream
-    quantities cannot tolerate.  The four orders and their recurrence
-    starts are worked out once per (sigma, step).
+    quantities cannot tolerate.
     """
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
-    o2, o1, m1, m2 = _stencil_starts(sigma, step)
-    g = _gamma_upper_from
+    h = _DSIGMA_STEP
+    x = _checked(sigma - 2.0 * h, x)
+    g = _gamma_upper
     # one order at a time, so at most two arrays of x's size are alive
-    return (-g(*o2, x) + 8.0 * g(*o1, x) - 8.0 * g(*m1, x)
-            + g(*m2, x)) / (12.0 * step)
+    return (-g(sigma + 2.0 * h, x) + 8.0 * g(sigma + h, x)
+            - 8.0 * g(sigma - h, x) + g(sigma - 2.0 * h, x)) / (12.0 * h)
+
+
+gamma_upper = gamma_upper_vec  # the name specfun-eval --fn gamma_upper calls
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +159,7 @@ def _check_zeta_args(s, q):
     if abs(s - 1.0) < 1e-12:
         raise PoleAtOne("zeta(s; q) has a pole at s = 1")
     if q <= 0.0:
-        raise ValueError("q must be positive")
+        raise InvalidParameter(f"q must be positive, got {q}")
 
 
 def hurwitz_zeta(s, q):
@@ -325,7 +217,7 @@ def hurwitz_zeta_ds(s, q):
 def hurwitz_zeta_dq(s, q):
     """d/dq zeta(s; q) = -s zeta(s+1; q)."""
     if q <= 0.0:
-        raise ValueError("q must be positive")
+        raise InvalidParameter(f"q must be positive, got {q}")
     if abs(s) < 1e-12:
         # limit of -s * (1/s + O(1)) as s -> 0
         return -1.0
@@ -351,13 +243,13 @@ EULER_GAMMA = float(np.euler_gamma)
 
 def digamma(x):
     if x <= 0.0:
-        raise ValueError("digamma implemented for x > 0 only")
+        raise InvalidParameter(f"digamma implemented for x > 0 only, got {x}")
     return float(sc.digamma(x))
 
 
 def trigamma(x):
     if x <= 0.0:
-        raise ValueError("trigamma implemented for x > 0 only")
+        raise InvalidParameter(f"trigamma implemented for x > 0 only, got {x}")
     return float(sc.polygamma(1, x))
 
 
@@ -367,7 +259,7 @@ def erfc(x):
 
 def exp_integral_e1(x):
     if x <= 0.0:
-        raise ValueError("E1 implemented for x > 0 only")
+        raise InvalidParameter(f"E1 implemented for x > 0 only, got {x}")
     return float(sc.exp1(x))
 
 

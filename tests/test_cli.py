@@ -300,6 +300,8 @@ def test_specfun_eval_rejects_extra_arguments(capsys):
     assert run_cli(["specfun-eval", "--fn", "riemann_zeta",
                     "--args", "2,3"]) == 2
     assert "bad arguments" in capsys.readouterr().err
+    assert run_cli(["specfun-eval", "--fn", "digamma", "--args", "one"]) == 2
+    assert "--args" in capsys.readouterr().err
 
 
 def test_parser_built_once_survives_a_usage_error(capsys):
@@ -323,6 +325,14 @@ def test_parser_built_once_survives_a_usage_error(capsys):
     assert outs == [fresh.stdout] * 2
 
 
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert "budget" not in lines[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["minimize", "--lattice", "Z1", "--potential", "riesz:2", "--N", "4",
      "--restarts", "0"],
@@ -336,15 +346,41 @@ def test_parser_built_once_survives_a_usage_error(capsys):
      "--eta", "-1"],
     ["kernel-eval", "--potential", "riesz:2", "--x", "0.3", "--y", "0",
      "--tol", "1e-17"],
+    ["kernel-eval", "--potential", "riesz:2", "--x", "nan", "--y", "0"],
+    ["growth", "--lattice", "Z1", "--potential", "riesz:2", "--N", "8,4"],
+    ["specfun-eval", "--fn", "digamma", "--args=-1"],
+    ["specfun-eval", "--fn", "exp_integral_e1", "--args=0"],
+    ["specfun-eval", "--fn", "hurwitz_zeta", "--args=2,-1"],
+    ["specfun-eval", "--fn", "gamma_upper", "--args=1,-1"],
 ], ids=["minimize-restarts-0", "growth-restarts-0", "tol-0", "tol-nan",
-        "eta-negative", "tol-below-rounding-floor"])
+        "eta-negative", "tol-below-rounding-floor", "nan-point",
+        "growth-decreasing-N",
+        "digamma-negative", "e1-zero", "hurwitz-negative-q",
+        "gamma-upper-negative-x"])
 def test_out_of_domain_input_exits_1(argv, capsys):
     assert run_cli(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
-    assert "budget" not in lines[0]
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("points", [[[0.1], [math.nan]], [[0.1, 0.2], [0.3, 0.4]]],
+                         ids=["nan-point", "wrong-dimension"])
+def test_energy_bad_points_exit_1(points, tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    assert run_cli(["energy", "--potential", "riesz:1",
+                    "--points", str(path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel-eval", "--potential", "riesz:1", "--x", "0.3", "--y", "0"],
+    ["energy", "--potential", "riesz:1", "--points", "points.json"],
+    ["minimize", "--potential", "riesz:1", "--N", "4"],
+], ids=["kernel-eval", "energy", "minimize"])
+def test_format_only_for_growth(argv, capsys):
+    # only growth has a table to write as CSV
+    assert run_cli(argv + ["--format", "csv"]) == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_integrate_and_optimize():

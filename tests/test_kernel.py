@@ -89,9 +89,10 @@ def test_plan_realized_error_hex():
     assert abs(v1 - v2) < 1e-10
 
 
-def test_plan_unreachable_tolerance():
+def test_plan_unreachable_tolerance(monkeypatch):
+    monkeypatch.setattr(kn, "_SHELL_BUDGET", 10)
     with pytest.raises(UnreachableTolerance):
-        kn.plan_ewald(Z2, kn.Riesz(0.5), 1e-12, shell_budget=10)
+        kn.plan_ewald(Z2, kn.Riesz(0.5), 1e-12)
 
 
 def test_plan_mismatch_raised():
@@ -707,8 +708,9 @@ def test_plan_budget_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(kn, "enumerate_shells", no_enumeration)
     with pytest.raises(UnreachableTolerance, match="dual cutoff"):
         kn.plan_ewald(Z3, kn.Riesz(1.0), 1e-10, eta=1e6)
+    monkeypatch.setattr(kn, "_SHELL_BUDGET", 1000)
     with pytest.raises(UnreachableTolerance, match="direct cutoff"):
-        kn.plan_ewald(Z3, kn.Riesz(1.0), 1e-6, eta=0.01, shell_budget=1000)
+        kn.plan_ewald(Z3, kn.Riesz(1.0), 1e-6, eta=0.01)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
