@@ -232,6 +232,7 @@ def _cmd_energy(args):
     rep = en.total_energy(cfg, pot, plan, with_gradient=args.gradient)
     payload = {
         "energy": _fmt(rep.energy) if math.isfinite(rep.energy) else "inf",
+        "abs_err_bound": _fmt(rep.abs_err_bound),
         "n_points": cfg.n_points,
         "degenerate_pairs": rep.degenerate_pairs,
         "gradient": rep.gradient,

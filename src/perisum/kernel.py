@@ -14,19 +14,22 @@ kernel of exponent s reads
 where the constant is continued through s = d by expm1.  eta = 1 recovers
 the canonical split; the value is independent of eta, which the test suite
 checks numerically.  The log-Riesz kernel is 2 d/ds of the Riesz kernel
-(term-wise, with the sigma-derivative of the incomplete gamma taken by
-specfun.gamma_upper_dsigma_vec, whose fourth-order stencil and step live in
-specfun), the logarithmic kernel replaces the gamma terms by E1 and
-Gamma(d/2, .), and the Gaussian kernel is an absolutely convergent direct
-sum minus its lattice-average constant.
+(term-wise: each term and coefficient takes Gamma(sigma, .) and its exact
+sigma-derivative from one specfun.gamma_upper_dsigma_vec pass), the
+logarithmic kernel replaces the gamma terms by E1 and Gamma(d/2, .), and
+the Gaussian kernel is an absolutely convergent direct sum minus its
+lattice-average constant.
 
 evaluate_batch makes one pass over blocks of difference rows, each block
 holding at most _BLOCK_PAIR_IMAGES (row, direct image) pairs, so its
 memory does not grow with the batch.  Within a block the distances, the
 regularized Q(s/2, eta r^2), r^-s and exp(-eta r^2) (and, for log-Riesz,
-log r and the sigma-stencil) are computed once and serve both the value
-and the gradient.  Q(1/2, x) = erfc(sqrt x), the d = 3 Coulomb case, is
-taken from specfun without scipy's general incomplete gamma.
+log r and the (Gamma, d/dsigma Gamma) pair) are computed once and serve
+both the value and the gradient.  Q(1/2, x) = erfc(sqrt x), the d = 3
+Coulomb case, is taken from specfun without scipy's general incomplete
+gamma.  kernel_value's bound adds to the plan's truncation bound the
+family's rel_accuracy times the sum of |terms|, which evaluate_batch
+accumulates in the same pass.
 
 Each potential family (Riesz, LogRiesz, Log, Gaussian) is one frozen
 dataclass that owns its split: label (its parse_potential string),
@@ -156,6 +159,10 @@ class Riesz:
 
     s: float
     singular = True
+    # relative accuracy of each term (at x <= 40; test_term_accuracy):
+    # gammaincc (sigma > 0) and gamma_upper_vec (sigma <= 0) are within
+    # 3.6e-14 of mpmath, and the terms were measured within 1.1e-14
+    rel_accuracy = 4e-14
 
     def __post_init__(self):
         if not self.s > 0:
@@ -225,6 +232,12 @@ class LogRiesz:
 
     s: float
     singular = True
+    # relative accuracy of each term (at x <= 40; test_term_accuracy): the
+    # (Gamma, d/dsigma Gamma) pair is within 3e-14 of mpmath, and a term, a
+    # difference of Riesz-sized parts, was measured within 8.2e-15 of those
+    # parts; the margin covers terms near their zero, where the parts
+    # exceed the term
+    rel_accuracy = 1e-13
 
     def __post_init__(self):
         if not self.s > 0:
@@ -246,10 +259,12 @@ class LogRiesz:
             r2 = r * r
             x = eta * r2
             rpow = np.power(r, -s)
-            t = sf.gamma_upper_reg_vec(sig, x) * rpow
-            t2 = sf.gamma_upper_dsigma_vec(sig, x)
+            rpow /= gs
+            # t = Q(s/2, x) r^-s and t2 = d/dsigma Gamma r^-s / Gamma(s/2)
+            # - (2 log r + psi) t, from one (Gamma, d/dsigma Gamma) pass
+            t, t2 = sf.gamma_upper_dsigma_vec(sig, x)
+            t *= rpow
             t2 *= rpow
-            t2 /= gs
             t2 -= 2.0 * np.log(r) * t
             t2 -= psi * t
             if not want_grad:
@@ -280,10 +295,10 @@ class LogRiesz:
         def logriesz_coeffs(k):
             z = math.pi**2 * k * k / eta
             pk = math.pi * k
-            power = np.power(pk, s - d)
-            a = pref * power * sf.gamma_upper_vec(sig, z)
-            dsig = sf.gamma_upper_dsigma_vec(sig, z)
-            return 2.0 * a * np.log(pk) - a * psi - pref * power * dsig
+            power = pref * np.power(pk, s - d)
+            g, dg = sf.gamma_upper_dsigma_vec(sig, z)
+            a = power * g
+            return 2.0 * a * np.log(pk) - a * psi - power * dg
 
         return logriesz_coeffs
 
@@ -312,6 +327,9 @@ class Log:
 
     singular = True
     label = "log"
+    # relative accuracy of each term (at x <= 40; test_term_accuracy): E1
+    # and Gamma(d/2, .) by gammaincc, measured within 1.1e-14
+    rel_accuracy = 4e-14
 
     def direct_terms(self, eta, want_grad=False):
         def log_terms(r):
@@ -352,6 +370,10 @@ class Gaussian:
 
     c: float
     singular = False
+    # relative accuracy of each term (at c r^2 <= 40; test_term_accuracy):
+    # exp(-c r^2) moves by c r^2 times the rounding of c r^2, measured
+    # within 6.2e-15
+    rel_accuracy = 1e-14
 
     def __post_init__(self):
         if not self.c > 0:
@@ -460,7 +482,10 @@ class EwaldPlan:
 @dataclass(frozen=True)
 class KernelValue:
     """One kernel evaluation: value (+inf at lattice points for singular
-    potentials), the plan's certified truncation error, and term counts."""
+    potentials), a bound on its error, and term counts.  The bound is the
+    plan's certified truncation error plus the family's rel_accuracy times
+    the sum of |terms|, which covers the rounding of the terms and their
+    sum."""
 
     value: float
     abs_err_bound: float
@@ -615,13 +640,17 @@ def min_image_difference(lat, x, y):
     return lat.to_cartesian(f)
 
 
-def evaluate_batch(lat, pot, plan, Q, want_grad=False):
+def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     """Kernel values (and gradients) for a batch of Cartesian differences.
 
     Q has shape (n, d); rows should be min-imaged representatives.  Returns
     (values, grads, degenerate) where grads is None unless requested and
     degenerate marks rows lying on the lattice.  Values at degenerate rows
     are +inf for the singular potentials; gradients there are zero-filled.
+    An array abs_sums of shape (n,) receives, in the same pass, each row's
+    sum of |terms| (direct terms, dual terms and the constant; 0 at
+    degenerate rows), which bounds the rounding of the value through the
+    family's rel_accuracy.
     """
     if plan.potential != pot:
         raise PlanMismatch(
@@ -658,15 +687,24 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False):
             r[on_lattice] = 1.0  # keeps the terms finite; rows reset below
         t, radial = terms(r)
         values[rows] = t.sum(axis=1)
+        if abs_sums is not None:
+            abs_sums[rows] = np.abs(t).sum(axis=1)
         if want_grad:
             grads[rows] = np.einsum("nv,knv->nk", radial, R)
         if W.shape[0]:
             phase = 2.0 * math.pi * (Q[rows] @ W.T)
-            values[rows] += 2.0 * (np.cos(phase) @ a)
+            cos = np.cos(phase)
+            values[rows] += 2.0 * (cos @ a)
+            if abs_sums is not None:
+                abs_sums[rows] += 2.0 * (np.abs(cos) @ np.abs(a))
             if want_grad:
                 grads[rows] -= 4.0 * math.pi * ((np.sin(phase) * a) @ W)
-    values += pot.eta_constant(eta, d)
+    const = pot.eta_constant(eta, d)
+    values += const
 
+    if abs_sums is not None:
+        abs_sums += abs(const)
+        abs_sums[degenerate] = 0.0
     if want_grad:
         grads[degenerate] = 0.0
     if pot.singular:
@@ -679,10 +717,13 @@ def kernel_value(plan, x, y):
     pair (x, y) of Cartesian points; +inf when x - y is a lattice point and
     the potential is singular there."""
     q = min_image_difference(plan.lattice, x, y)
-    vals, _, _ = evaluate_batch(plan.lattice, plan.potential, plan, q[None, :])
+    sums = np.empty(1)
+    vals, _, _ = evaluate_batch(plan.lattice, plan.potential, plan, q[None, :],
+                                abs_sums=sums)
     return KernelValue(
         value=float(vals[0]),
-        abs_err_bound=plan.guaranteed_abs_err,
+        abs_err_bound=plan.guaranteed_abs_err
+        + plan.potential.rel_accuracy * float(sums[0]),
         terms_direct=plan.terms_direct,
         terms_dual=plan.terms_dual,
     )
@@ -692,18 +733,20 @@ def gaussian_kernel(lat, x, y, c, r_cut):
     """Periodic Gaussian kernel: direct sum over |v| <= r_cut (+ cell
     margin), minus (pi/c)^(d/2) when c < 1 (the lattice-average constant);
     no constant when c >= 1.  Always finite.  abs_err_bound is the
-    planner's closed-form tail bound at r_cut."""
+    planner's closed-form tail bound at r_cut plus the rounding term
+    kernel_value adds, rel_accuracy times the sum of |terms|."""
     pot = Gaussian(c)
     d = lat.dimension
     margin = lat.half_cell_diameter
     shells = enumerate_shells(lat, "direct", r_cut + margin, include_origin=True)
     q = min_image_difference(lat, x, y)
     r2 = np.sum((q[None, :] + shells.vectors) ** 2, axis=1)
-    total = float(np.exp(-c * r2).sum()) + pot.eta_constant(1.0, d)
+    direct = float(np.exp(-c * r2).sum())
+    const = pot.eta_constant(1.0, d)
     tail = _tail_bound(pot.direct_majorant(1.0, r_cut), r_cut, margin, d)
     return KernelValue(
-        value=total,
-        abs_err_bound=tail,
+        value=direct + const,
+        abs_err_bound=tail + pot.rel_accuracy * (direct + abs(const)),
         terms_direct=len(shells),
         terms_dual=0,
     )

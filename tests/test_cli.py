@@ -11,6 +11,7 @@ import pytest
 from perisum import cli
 from perisum import energy as en
 from perisum import kernel as kn
+from perisum import validate as vd
 from perisum.lattice import lattice_preset
 
 
@@ -87,6 +88,48 @@ def test_energy_command(tmp_path):
     expect = 2.0 * math.pi**2 - 4.0 * math.sqrt(math.pi)
     assert payload["energy"] == pytest.approx(expect, rel=1e-12)
     assert payload["degenerate_pairs"] == []
+
+
+@pytest.mark.parametrize("lattice,potential,x,y", [
+    ("Z1", "riesz:2.5", "0.44600058973038437", "0.4494994397668116"),
+    ("Z1", "logriesz:3", "0.3", "0"),
+    ("Z2", "logriesz:4", "0.3,0.2", "0,0"),
+], ids=["Z1-riesz2.5-near-lattice", "Z1-logriesz3", "Z2-logriesz4"])
+def test_kernel_eval_eta_spread_within_bounds(tmp_path, lattice, potential, x, y):
+    # the eta = 1 and eta = 4 values differ by at most the sum of their
+    # reported bounds.  The truncation bound alone missed these by 116x
+    # (one ulp of a value of 1.4e6 next to a lattice point), 48x and 25x
+    # (a sigma-stencil's error at the integer dual order -1)
+    out = tmp_path / "kv.json"
+    payloads = []
+    for eta in ("1", "4"):
+        assert run_cli(["kernel-eval", "--lattice", lattice,
+                        "--potential", potential, "--x", x, "--y", y,
+                        "--tol", "1e-12", "--eta", eta, "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    one, four = payloads
+    assert abs(one["value"] - four["value"]) <= (
+        one["abs_err_bound"] + four["abs_err_bound"])
+
+
+def test_energy_payload_carries_abs_err_bound(tmp_path):
+    # the energy payload reports EnergyReport.abs_err_bound, N(N-1) times
+    # the plan's bound, and the energy lies within it of the exact value
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps([[0.0], [0.25], [0.5], [0.75]]))
+    out = tmp_path / "energy.json"
+    assert run_cli(["energy", "--lattice", "Z1", "--potential", "riesz:2",
+                    "--points", str(pts), "--tol", "1e-10", "--eta", "2",
+                    "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    lat = lattice_preset("Z1")
+    pot = kn.Riesz(2.0)
+    plan = kn.plan_ewald(lat, pot, 1e-10, eta=2.0)
+    cfg = en.Configuration(lat, np.array([[0.0], [0.25], [0.5], [0.75]]))
+    rep = en.total_energy(cfg, pot, plan)
+    bound = payload["abs_err_bound"]
+    assert bound == rep.abs_err_bound == 12 * plan.guaranteed_abs_err
+    assert abs(payload["energy"] - vd.riesz_1d_minimum(4, 2.0)) <= bound
 
 
 def test_minimize_deterministic_output(tmp_path):

@@ -462,12 +462,15 @@ def test_gamma_q_half_erfc_branch():
     from scipy.special import gammaincc
     ref = gammaincc(0.5, x)
     assert np.max(np.abs(q - ref) / ref) <= 2e-13
-    # the dual coefficients reach the same branch through gamma_upper_vec,
-    # directly at sigma = 1/2 and through the recurrence at sigma = -1/2
+    # the dual coefficients reach the same branch through gamma_upper_vec at
+    # sigma = 1/2; sigma = -1/2 takes the value of the (Gamma, d/dsigma
+    # Gamma) pair, which has no recurrence from sigma = 1/2 above x = 1.5
     assert np.array_equal(sf.gamma_upper_vec(0.5, x), q * math.gamma(0.5))
-    emx = np.exp(-x)
-    down = (q * math.gamma(0.5) - x**-0.5 * emx) / -0.5
-    assert np.array_equal(sf.gamma_upper_vec(-0.5, x), down)
+    down = sf.gamma_upper_vec(-0.5, x)
+    assert np.array_equal(down, sf.gamma_upper_dsigma_vec(-0.5, x)[0])
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.gammainc(-0.5, float(v))) for v in x])
+    assert np.max(np.abs(down - exact) / exact) <= 1e-14
 
 
 @pytest.mark.parametrize("lat,pot", [(Z3, kn.Riesz(1.0)), (HEX, kn.Riesz(0.7)),
@@ -577,8 +580,8 @@ def test_tail_bounds_hold(name):
     # random min-imaged differences and at and next to a cell corner, where
     # |q| is largest.  The error is measured against the same-eta plan at
     # tol/1e3 (at the rounding floor where that is lower) as the terms that
-    # plan adds, so rounding in the terms both sums share does not enter,
-    # nor does the log-Riesz sigma-stencil error.  The potentials cover
+    # plan adds, so rounding in the terms both sums share does not enter.
+    # The potentials cover
     # Gamma orders on both sides of 1 and below 0, E1 and the Gaussian.
     lat = lattice_preset(name)
     d = lat.dimension
@@ -723,8 +726,8 @@ def test_envelopes_match_array_formulas(pot, d):
     # the term formulas take one float (as the planner's rounding floor
     # calls them) and give what they give an array element at the same
     # point.  Dual orders (d - s)/2 here cover sigma > 0, the erfc branch,
-    # sigma = 0 (E1), integer and fractional sigma < 0, and log-Riesz
-    # stencils that straddle 0.
+    # sigma = 0, integer and fractional sigma < 0, and the log-Riesz pair on
+    # both sides of 0.
     eta = 2.0
     terms = pot.direct_terms(eta)
     for r in np.linspace(0.05, 12.0, 48):
@@ -739,3 +742,63 @@ def test_envelopes_match_array_formulas(pot, d):
         ref = abs(float(coeffs(np.array([k]))[0]))
         assert abs(float(coeffs(float(k)))) == pytest.approx(
             ref, rel=1e-15, abs=0.0), k
+
+
+def _exact_terms(pot, eta, d, r, k):
+    """mpmath (30 digits) direct term at r and dual coefficient at k, with
+    the Riesz term and coefficient of the same exponent; the log-Riesz ones
+    are 2 d/ds of those."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mpf
+
+    def riesz(s):
+        direct = (mpmath.gammainc(s / 2, eta * mp(r) ** 2) * mp(r) ** -s
+                  / mpmath.gamma(s / 2))
+        dual = (mpmath.pi ** (mp(d) / 2) * (mpmath.pi * k) ** (s - d)
+                * mpmath.gammainc((d - s) / 2, mpmath.pi**2 * mp(k) ** 2 / eta)
+                / mpmath.gamma(s / 2))
+        return direct, dual
+
+    with mpmath.workdps(30):
+        if isinstance(pot, kn.Riesz):
+            return riesz(mp(pot.s)), None
+        if isinstance(pot, kn.LogRiesz):
+            s = mp(pot.s)
+            both = tuple(float(2 * mpmath.diff(lambda u: riesz(u)[i], s))
+                         for i in (0, 1))
+            return both, tuple(float(v) for v in riesz(s))
+        if isinstance(pot, kn.Log):
+            return (mpmath.e1(eta * mp(r) ** 2),
+                    mpmath.gammainc(mp(d) / 2, mpmath.pi**2 * mp(k) ** 2 / eta)
+                    / (mpmath.pi ** (mp(d) / 2) * mp(k) ** d)), None
+        return (mpmath.exp(-pot.c * mp(r) ** 2), None), None
+
+
+@pytest.mark.parametrize("pot", [kn.Riesz(0.5), kn.Riesz(3.0), kn.LogRiesz(0.5),
+                                 kn.LogRiesz(1.7), kn.LogRiesz(3.0), kn.Log(),
+                                 kn.Gaussian(2.0)], ids=lambda p: p.label)
+def test_term_accuracy(pot):
+    # each term and coefficient is within the family's rel_accuracy of
+    # mpmath, the bound kernel_value puts on their rounding.  Terms beyond
+    # x = 40 (relative size e^-40) are left out: there the rounding of x
+    # itself moves e^-x by x eps.  A log-Riesz term is a difference of
+    # Riesz-sized parts, so it is held to rel_accuracy of the larger of
+    # itself and the Riesz term.  On a denser grid (24 r up to 8, 14 k up
+    # to 4, d = 1, 2, 3) the worst were 1.1e-14 (Riesz 0.5), 8.2e-15
+    # (log-Riesz 4), 1.1e-14 (log) and 6.2e-15 (Gaussian 2).
+    worst = 0.0
+    for eta in (0.25, 1.0, 4.0):
+        terms = pot.direct_terms(eta)
+        for d, r, k in ((1, 0.3, 0.4), (2, 0.9, 1.1), (3, 1.7, 0.25),
+                        (1, 2.6, 1.6), (2, 4.0, 0.7), (3, 5.5, 2.2)):
+            coeffs = pot.dual_coeffs(eta, d)
+            (t, a), scale = _exact_terms(pot, eta, d, r, k)
+            got = [(float(terms(r)[0]), float(t), eta * r * r)]
+            if coeffs is not None:
+                got.append((float(coeffs(k)), float(a), math.pi**2 * k * k / eta))
+            for i, (v, exact, x) in enumerate(got):
+                if x > 40.0:
+                    continue
+                size = max(abs(exact), abs(scale[i])) if scale else abs(exact)
+                worst = max(worst, abs(v - exact) / size)
+    assert worst <= pot.rel_accuracy, worst
