@@ -16,7 +16,7 @@ import numpy as np
 
 from perisum import kernel as kn
 from perisum import validate as vd
-from perisum.lattice import enumerate_shells, lattice_preset
+from perisum.lattice import lattice_preset
 
 print("=" * 72)
 print("Gaussian Poisson summation (unit co-volume)")

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: kernel-eval, energy, minimize, growth, validate, specfun-eval.
-Points are fractional coordinates by default (--cartesian converts through
-the basis).  Output is JSON (growth can also write its table as CSV) with
-17 significant digits so files round-trip losslessly; identical arguments
-and seed reproduce bitwise identical files.  Exit codes: 0 success, 1 failed
+Subcommands: kernel-eval, energy, minimize, growth, validate, specfun-eval;
+each takes only the flags it reads.  Points are fractional coordinates by
+default (--cartesian on kernel-eval and energy converts through the basis).
+Output is JSON (growth can also write its table as CSV) with 17 significant
+digits so files round-trip losslessly; identical arguments and seed
+reproduce bitwise identical files.  Exit codes: 0 success, 1 failed
 validation or input outside its domain, 2 usage error.
 
 Environment: PERISUM_TOL overrides the default tolerance when --tol is not
@@ -126,29 +127,29 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, potential=True):
+    def add_common(sp, points=False):
         sp.add_argument("--config", default=None,
                         help="JSON file of flag values (explicit flags win)")
         sp.add_argument("--lattice", default="Z1",
                         help="preset name or JSON basis file")
-        if potential:
-            sp.add_argument("--potential", required=True,
-                            help="riesz:S | logriesz:S | log | gaussian:C")
+        sp.add_argument("--potential", required=True,
+                        help="riesz:S | logriesz:S | log | gaussian:C")
         sp.add_argument("--tol", type=float, default=None,
                         help="Ewald truncation tolerance")
-        sp.add_argument("--eta", type=float, default=1.0,
-                        help="Ewald splitting parameter")
         sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--cartesian", action="store_true",
-                        help="interpret point inputs as Cartesian")
+        if points:  # the commands that take points also take the split
+            sp.add_argument("--eta", type=float, default=1.0,
+                            help="Ewald splitting parameter")
+            sp.add_argument("--cartesian", action="store_true",
+                            help="interpret point inputs as Cartesian")
 
     ke = sub.add_parser("kernel-eval", help="evaluate the periodic kernel at one pair")
-    add_common(ke)
+    add_common(ke, points=True)
     ke.add_argument("--x", required=True, help="first point (fractional)")
     ke.add_argument("--y", required=True, help="second point (fractional)")
 
     ev = sub.add_parser("energy", help="energy of a configuration from file")
-    add_common(ev)
+    add_common(ev, points=True)
     ev.add_argument("--points", required=True,
                     help="JSON file with an NxD array of fractional points")
     ev.add_argument("--gradient", action="store_true",
@@ -198,10 +199,7 @@ def _cmd_kernel_eval(args):
     if not args.cartesian:
         x = lat.to_cartesian(x)
         y = lat.to_cartesian(y)
-    # only the singular families are split; the Gaussian's direct sum keeps
-    # the default eta in its plan
-    eta = args.eta if pot.singular else 1.0
-    plan = kn.plan_ewald(lat, pot, tol, eta=eta)
+    plan = kn.plan_ewald(lat, pot, tol, eta=args.eta)
     kv = kn.kernel_value(plan, x, y)
     payload = {
         "value": _fmt(kv.value) if math.isfinite(kv.value) else "inf",

@@ -69,7 +69,7 @@ from .errors import (
     PolePoint,
     UnreachableTolerance,
 )
-from .lattice import Lattice, enumerate_shells, min_dual_norm
+from .lattice import Lattice, box_vectors, enumerate_shells, min_dual_norm
 
 __all__ = [
     "Riesz",
@@ -598,10 +598,10 @@ def plan_ewald(lat, pot, tol, eta=1.0):
             lambda k: _tail_bound(pot.dual_majorant(eta, d, k), k, dual_cell, d),
             tol / 2.0, r_max + dual_cell, "dual")
 
-    direct = enumerate_shells(lat, "direct", r_cut + cell, include_origin=True)
+    direct = enumerate_shells(lat, "direct", r_cut + cell)
     if len(direct) > _SHELL_BUDGET:
         raise UnreachableTolerance("direct shell count exceeds budget")
-    dual = enumerate_shells(lat, "dual", k_cut, include_origin=False)
+    dual = enumerate_shells(lat, "dual", k_cut)
     wh, wn, _ = dual.half()
 
     return EwaldPlan(
@@ -738,7 +738,7 @@ def gaussian_kernel(lat, x, y, c, r_cut):
     pot = Gaussian(c)
     d = lat.dimension
     margin = lat.half_cell_diameter
-    shells = enumerate_shells(lat, "direct", r_cut + margin, include_origin=True)
+    shells = enumerate_shells(lat, "direct", r_cut + margin)
     q = min_image_difference(lat, x, y)
     r2 = np.sum((q[None, :] + shells.vectors) ** 2, axis=1)
     direct = float(np.exp(-c * r2).sum())
@@ -805,14 +805,14 @@ def epstein_hurwitz_zeta(lat, q, s, tol=1e-12, eta=1.0, plan=None):
 
 def epstein_zeta(lat, s, tol=1e-12):
     """Epstein zeta of the lattice (sum over nonzero v of |v|^-s), continued
-    to s != d; the origin term's finite part is removed by hand."""
+    to s != d; the plan's direct vectors past the first, the origin, are
+    summed and the origin term's finite part is removed by hand."""
     d = lat.dimension
     if abs(s - d) < 1e-10:
         raise PolePoint("Epstein zeta has its pole at s = d")
     pot = Riesz(s)
     plan = plan_ewald(lat, pot, tol, 1.0)
-    shells = enumerate_shells(lat, "direct", plan.r_cut, include_origin=False)
-    t, _ = pot.direct_terms(1.0)(shells.norms)
+    t, _ = pot.direct_terms(1.0)(np.linalg.norm(plan.direct_vectors[1:], axis=1))
     direct = float(t.sum())
     a = pot.dual_coeffs(1.0, d)(plan.dual_norms_half)
     dual = 2.0 * float(a.sum())
@@ -842,9 +842,9 @@ def convergence_factor_oracle(lat, q, s, a_sequence):
         if not 0.0 < a <= 1.0:
             raise ValueError("convergence-factor parameters must be in (0, 1]")
         radius = 6.5 / a + lat.half_cell_diameter
-        shells = enumerate_shells(lat, "direct", radius, include_origin=True)
-        r = np.linalg.norm(qm[None, :] + shells.vectors, axis=1)
-        lattice_sum = float(np.sum(r ** (-s) * np.exp(-((a * r) ** 2))))
+        box = box_vectors(lat, "direct", radius)
+        r2 = sum((qi + c) ** 2 for qi, c in zip(qm, box))
+        lattice_sum = float(np.sum(r2 ** (-s / 2.0) * np.exp(-(a * a) * r2)))
 
         def integrand(u):
             # endpoint singularity t^(s/2-1) removed by t = u^(2/s)

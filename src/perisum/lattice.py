@@ -23,6 +23,7 @@ __all__ = [
     "lattice_from_basis",
     "lattice_preset",
     "enumerate_shells",
+    "box_vectors",
     "reduce_to_cell",
     "min_dual_norm",
     "PRESETS",
@@ -153,37 +154,36 @@ def lattice_preset(name):
     return lattice_from_basis(PRESETS[name])
 
 
+def _integer_box(lattice, which, radius):
+    """The direct or dual basis B and the half-widths of an integer box that
+    holds every k with |B k| <= radius (|k_i| <= |row i of inv(B)| |B k|)."""
+    if which not in ("direct", "dual"):
+        raise ValueError("which must be 'direct' or 'dual'")
+    basis = lattice.basis if which == "direct" else lattice.dual_basis
+    row_norms = np.linalg.norm(np.linalg.inv(basis), axis=1)
+    return basis, np.ceil(row_norms * radius + 1e-9).astype(int)
+
+
 class ShellIterator:
     """Lattice vectors with |v| <= max_radius, sorted by (norm, integer
-    coordinates lexicographically).
+    coordinates lexicographically), so the origin comes first.
 
     The ordering is a fixed total order, so the enumeration for a smaller
-    radius is always a prefix of the enumeration for a larger one.
-    Materializes the vectors up front; iterate or use the arrays directly.
+    radius is always a prefix of the enumeration for a larger one.  It serves
+    the Ewald plan and gaussian_kernel; order-free sums use box_vectors.
     """
 
-    def __init__(self, lattice, which, max_radius, include_origin=True):
+    def __init__(self, lattice, which, max_radius):
         if max_radius < 0:
             raise ValueError("max_radius must be >= 0")
-        self.lattice = lattice
-        self.which = which
-        self.max_radius = float(max_radius)
-        self.include_origin = include_origin
-        basis = lattice.basis if which == "direct" else lattice.dual_basis
-        if which not in ("direct", "dual"):
-            raise ValueError("which must be 'direct' or 'dual'")
+        basis, bound = _integer_box(lattice, which, max_radius)
         d = lattice.dimension
-        inv = np.linalg.inv(basis)
-        row_norms = np.linalg.norm(inv, axis=1)
-        bound = np.ceil(row_norms * self.max_radius + 1e-9).astype(int)
         axes = [np.arange(-b, b + 1) for b in bound]
         grid = np.meshgrid(*axes, indexing="ij")
         k = np.stack([g.reshape(-1) for g in grid], axis=1)
         v = k @ basis.T
         norms = np.linalg.norm(v, axis=1)
-        keep = norms <= self.max_radius * (1.0 + 1e-12) + 1e-300
-        if not include_origin:
-            keep &= np.any(k != 0, axis=1)
+        keep = norms <= max_radius * (1.0 + 1e-12) + 1e-300
         k, v, norms = k[keep], v[keep], norms[keep]
         order = np.lexsort(tuple(k[:, j] for j in range(d - 1, -1, -1)) + (norms,))
         self.integer_coords = k[order]
@@ -192,9 +192,6 @@ class ShellIterator:
 
     def __len__(self):
         return self.vectors.shape[0]
-
-    def __iter__(self):
-        return iter(self.vectors)
 
     def half(self):
         """Canonical half of the sign pairs +-v: keeps the vector whose first
@@ -207,9 +204,22 @@ class ShellIterator:
         return self.vectors[keep], self.norms[keep], self.integer_coords[keep]
 
 
-def enumerate_shells(lat, which, max_radius, include_origin=True):
+def enumerate_shells(lat, which, max_radius):
     """Shell-ordered enumeration of direct or dual lattice vectors."""
-    return ShellIterator(lat, which, max_radius, include_origin)
+    return ShellIterator(lat, which, max_radius)
+
+
+def box_vectors(lat, which, radius):
+    """The d coordinate arrays of B k for every integer k in the box that
+    enumerate_shells cuts its ball |B k| <= radius from, built from np.ix_
+    open grids, unsorted and unfiltered, for order-free sums of terms that
+    are small outside the ball.  Refuses a box of more than 2e7 points."""
+    basis, bound = _integer_box(lat, which, radius)
+    if np.prod(2.0 * bound + 1.0) > 2e7:
+        raise ValueError(f"the integer box for radius {radius:.3g} has more "
+                         "than 2e7 points")
+    k = np.ix_(*[np.arange(-b, b + 1, dtype=float) for b in bound])
+    return [sum(b * kj for b, kj in zip(row, k)) for row in basis]
 
 
 def reduce_to_cell(lat, x):
@@ -227,5 +237,5 @@ def min_dual_norm(lat):
     integer box of radius min(dual column norms) is provably sufficient.
     """
     bound = float(np.min(np.linalg.norm(lat.dual_basis, axis=0)))
-    shells = enumerate_shells(lat, "dual", bound, include_origin=False)
-    return float(shells.norms[0])
+    r2 = sum(c * c for c in box_vectors(lat, "dual", bound))
+    return math.sqrt(float(r2[r2 > 0.0].min()))

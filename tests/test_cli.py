@@ -272,7 +272,8 @@ def test_minimize_payload_matches_stored_output(tmp_path):
 def test_kernel_eval_gaussian_through_plan(tmp_path):
     # kernel-eval evaluates the Gaussian through its plan; the value agrees
     # with the standalone gaussian_kernel, whose tail estimate and shells
-    # are the plan's own
+    # are the plan's own, and the plan records the requested eta, which the
+    # Gaussian does not read
     out = tmp_path / "kv.json"
     rng = np.random.default_rng(11)
     for name in ("Z1", "Z2", "Z3", "hex", "fcc-like"):
@@ -295,7 +296,7 @@ def test_kernel_eval_gaussian_through_plan(tmp_path):
                 assert payload["abs_err_bound"] == kv.abs_err_bound
                 assert payload["terms_direct"] == kv.terms_direct
                 assert payload["terms_dual"] == kv.terms_dual == 0
-                assert payload["plan"]["eta"] == 1.0
+                assert payload["plan"]["eta"] == 4.0
 
 
 def test_growth_takes_its_plan_from_the_minimizations(tmp_path, monkeypatch):
@@ -424,6 +425,34 @@ def test_format_only_for_growth(argv, capsys):
     # only growth has a table to write as CSV
     assert run_cli(argv + ["--format", "csv"]) == 2
     assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["minimize", "--potential", "riesz:1", "--N", "4"],
+    ["growth", "--potential", "riesz:1", "--N", "4,8"],
+], ids=["minimize", "growth"])
+@pytest.mark.parametrize("flag", [["--eta", "7"], ["--cartesian"]],
+                         ids=["eta", "cartesian"])
+def test_unread_flags_are_usage_errors(command, flag, capsys):
+    # minimize and growth take no points and always split at eta = 1, so
+    # neither flag would be read
+    assert run_cli(command + flag) == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_energy_records_requested_eta_for_gaussian(tmp_path):
+    # energy and kernel-eval follow one rule: the plan records the requested
+    # eta, and the Gaussian's energy does not depend on it
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps([[0.0], [0.3], [0.55]]))
+    payloads = []
+    for eta in ("1", "4"):
+        out = tmp_path / f"energy{eta}.json"
+        assert run_cli(["energy", "--potential", "gaussian:0.5", "--points",
+                        str(pts), "--eta", eta, "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    assert [p["plan"]["eta"] for p in payloads] == [1.0, 4.0]
+    assert payloads[0]["energy"] == payloads[1]["energy"]
 
 
 def test_cli_import_leaves_out_integrate_and_optimize():

@@ -6,7 +6,9 @@ import pytest
 
 from perisum.errors import DimensionMismatch, SingularBasis
 from perisum.lattice import (
+    PRESETS,
     Lattice,
+    box_vectors,
     enumerate_shells,
     lattice_from_basis,
     lattice_preset,
@@ -66,9 +68,31 @@ def test_shells_z2_radius_1_5():
 
 
 def test_shells_z1_exclude_origin():
+    # the origin comes first; dropping it leaves the sign pairs by norm
     lat = lattice_preset("Z1")
-    shells = enumerate_shells(lat, "direct", 3.2, include_origin=False)
-    assert [int(k) for k in shells.integer_coords[:, 0]] == [-1, 1, -2, 2, -3, 3]
+    shells = enumerate_shells(lat, "direct", 3.2)
+    assert int(shells.integer_coords[0, 0]) == 0 and shells.norms[0] == 0.0
+    assert [int(k) for k in shells.integer_coords[1:, 0]] == [-1, 1, -2, 2, -3, 3]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("which", ["direct", "dual"])
+def test_box_vectors_cover_the_shells(name, which):
+    # the unordered box holds every vector of the ball, each exactly once
+    lat = lattice_preset(name)
+    for radius in (0.0, 0.9, 2.5, 4.0):
+        box = np.stack([c.reshape(-1) for c in box_vectors(lat, which, radius)],
+                       axis=1)
+        shells = enumerate_shells(lat, which, radius)
+        assert box.shape[0] >= len(shells)
+        for v in shells.vectors:
+            dist = np.max(np.abs(box - v), axis=1)
+            assert np.count_nonzero(dist <= 1e-12) == 1, (radius, v)
+
+
+def test_box_vectors_guard():
+    with pytest.raises(ValueError, match="2e7"):
+        box_vectors(lattice_preset("Z3"), "direct", 200.0)
 
 
 def test_hex_dual_count_matches_integer_box_scan():

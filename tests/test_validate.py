@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from perisum import specfun as sf
 from perisum import validate as vd
 from perisum.lattice import lattice_preset
 
@@ -105,6 +106,16 @@ def test_lattice_comparison_observation():
     assert r.passed  # hex below square
     assert r.lhs < r.rhs
     assert "observation" in r.note
+
+
+@pytest.mark.parametrize("s", [3.0, 4.5, 7.0])
+@pytest.mark.parametrize("q", [0.29, 0.5, 0.71])
+def test_brute_force_d1_matches_hurwitz(s, q):
+    # in d = 1 the lattice sum is zeta(s; q) + zeta(s; 1 - q); the box sum's
+    # truncation (at most 2.5e-12) and rounding stay within 5e-13 relative
+    exact = sf.hurwitz_zeta(s, q) + sf.hurwitz_zeta(s, 1.0 - q)
+    bf = vd.brute_force_epstein_hurwitz(lattice_preset("Z1"), np.array([q]), s)
+    assert abs(bf - exact) <= 5e-13 * exact
 
 
 def test_brute_force_guard():
