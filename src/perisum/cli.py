@@ -138,8 +138,9 @@ def build_parser():
                         help="Ewald truncation tolerance")
         sp.add_argument("--out", default=None, help="output file path")
         if points:  # the commands that take points also take the split
-            sp.add_argument("--eta", type=float, default=1.0,
-                            help="Ewald splitting parameter")
+            sp.add_argument("--eta", type=float, default=None,
+                            help="Ewald splitting parameter (default: the "
+                                 "planner's cost-model choice)")
             sp.add_argument("--cartesian", action="store_true",
                             help="interpret point inputs as Cartesian")
 

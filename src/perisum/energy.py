@@ -2,9 +2,13 @@
 
 A configuration is N points in fractional coordinates on the torus; its
 energy is the sum of the periodic kernel over ordered point pairs.  The
-gradient is taken with respect to the fractional coordinates (chain rule
-through the lattice basis), which is also the parametrization the L-BFGS
-minimizer works in.
+direct part and the splitting constant are summed pair by pair; the
+reciprocal part is 2 sum_w a(w) (|S(w)|^2 - N) with the structure factors
+S(w) = sum_j exp(2 pi i w.x_j), which costs O(N K) instead of O(N^2 K),
+and is what lets the planner's default eta move work from the direct to
+the reciprocal sum.  The gradient is taken with respect to the fractional
+coordinates (chain rule through the lattice basis), which is also the
+parametrization the L-BFGS minimizer works in.
 """
 
 from __future__ import annotations
@@ -135,27 +139,38 @@ def _pair_differences(cfg):
 
 
 def total_energy(cfg, pot, plan, with_gradient=False):
-    """Periodic energy: kernel summed over the N(N-1) ordered pairs,
-    computed as twice the sum over unordered pairs."""
+    """Periodic energy: kernel summed over the N(N-1) ordered pairs.
+
+    The direct sums and the splitting constant are taken pair by pair
+    (twice the sum over unordered pairs); the reciprocal part comes from
+    the structure factors S(w) in O(N K) (kernel._dual_energy), so no pair
+    meets a dual vector."""
+    lat = cfg.lattice
+    kn._check_plan(lat, pot, plan)
     n = cfg.n_points
     if n == 1:
         grad = np.zeros_like(cfg.points) if with_gradient else None
         return EnergyReport(0.0, grad, [], plan, 0.0)
+    bound = n * (n - 1) * plan.guaranteed_abs_err
     j, k, Q = _pair_differences(cfg)
-    values, grads, degen = kn.evaluate_batch(
-        cfg.lattice, pot, plan, Q, want_grad=with_gradient)
+    direct, grads, degen = kn._direct_sums(pot, plan, Q, with_gradient)
     degenerate_pairs = [(int(a), int(b)) for a, b in zip(j[degen], k[degen])]
-    energy = 2.0 * float(values.sum())
-    gradient = None
-    if with_gradient and math.isfinite(energy):
-        gradient = np.zeros_like(cfg.points)
-        # pair term 2 K(x_j - x_k): +2 grad to row j, -2 grad to row k,
-        # then chain rule into fractional coordinates
+    if pot.singular and degen.any():
+        return EnergyReport(math.inf, None, degenerate_pairs, plan, bound)
+    dual, gradient = kn._dual_energy(pot, plan, cfg.cartesian(), with_gradient)
+    # the constant joins each pair's direct sum before the pairs are summed,
+    # as in the pairwise kernel: for the Gaussian it nearly cancels them
+    direct += pot.eta_constant(plan.eta, lat.dimension)
+    energy = 2.0 * float(direct.sum()) + dual
+    if with_gradient:
+        # pair term 2 D(x_j - x_k): +2 grad to row j, -2 grad to row k, on
+        # top of the reciprocal gradient; then the chain rule into
+        # fractional coordinates
+        grads[degen] = 0.0
         np.add.at(gradient, j, 2.0 * grads)
         np.add.at(gradient, k, -2.0 * grads)
-        gradient = gradient @ cfg.lattice.basis
-    return EnergyReport(energy, gradient, degenerate_pairs, plan,
-                        n * (n - 1) * plan.guaranteed_abs_err)
+        gradient = gradient @ lat.basis
+    return EnergyReport(energy, gradient, degenerate_pairs, plan, bound)
 
 
 def energy_gradient(cfg, pot, plan):

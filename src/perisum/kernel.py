@@ -20,12 +20,17 @@ logarithmic kernel replaces the gamma terms by E1 and Gamma(d/2, .), and
 the Gaussian kernel is an absolutely convergent direct sum minus its
 lattice-average constant.
 
-evaluate_batch makes one pass over blocks of difference rows, each block
-holding at most _BLOCK_PAIR_IMAGES (row, direct image) pairs, so its
-memory does not grow with the batch.  Within a block the distances, the
-regularized Q(s/2, eta r^2), r^-s and exp(-eta r^2) (and, for log-Riesz,
-log r and the (Gamma, d/dsigma Gamma) pair) are computed once and serve
-both the value and the gradient.  Q(1/2, x) = erfc(sqrt x), the d = 3
+evaluate_batch, the pairwise reference path (and kernel_value's), makes
+one pass over blocks of difference rows, each block holding at most
+_BLOCK_PAIR_IMAGES (row, direct image) or (row, dual vector) pairs, so its
+memory does not grow with the batch; each row is reduced in an order that
+does not depend on the rest of the batch.  Within a block the distances,
+the regularized Q(s/2, eta r^2), r^-s and exp(-eta r^2) (and, for
+log-Riesz, log r and the (Gamma, d/dsigma Gamma) pair) are computed once
+and serve both the value and the gradient.  An energy sums the direct
+part pair by pair through the same blocks (_direct_sums) but takes the
+reciprocal part from structure factors (_dual_energy), in O(N K) for N
+points and K dual vectors.  Q(1/2, x) = erfc(sqrt x), the d = 3
 Coulomb case, is taken from specfun without scipy's general incomplete
 gamma.  kernel_value's bound adds to the plan's truncation bound the
 family's rel_accuracy times the sum of |terms|, which evaluate_batch
@@ -48,8 +53,11 @@ it is taken at; it follows from Gamma(sigma, x) <= c x^(sigma-1) e^-x
 on t >= x.  Counting lattice points by cells of circumradius
 half_cell_diameter turns the majorant into a tail bound made of
 exponentials and powers (_tail_bound), and each cutoff is found by
-bisection on that bound.  kernel_value(plan, x, y) is the one single-pair
-entry point.
+bisection on that bound.  Without a given eta, plan_ewald takes the eta of
+1, 2, 4, ..., 128 that minimises a per-pair cost, the direct images plus
+_DUAL_TERM_COST times the dual terms, both counted in closed form from
+those cutoffs.  kernel_value(plan, x, y) is the one single-pair entry
+point.
 """
 
 from __future__ import annotations
@@ -96,6 +104,11 @@ _SINGULAR_EPS = 1e-13  # |q + v| below this counts as a lattice point
 _BLOCK_PAIR_IMAGES = 1 << 17
 # most vectors plan_ewald enumerates for one sum
 _SHELL_BUDGET = 500_000
+# the splits plan_ewald chooses from when no eta is given, and the cost of
+# one dual term relative to one direct image in the pairwise kernel
+# (evaluate_batch on many rows, measured 0.07-0.35 over the families)
+_ETA_LADDER = tuple(2.0**i for i in range(8))
+_DUAL_TERM_COST = 0.1
 _EPS = float(np.finfo(float).eps)
 
 
@@ -522,8 +535,8 @@ def _tail_bound(majorant, radius, cell, d):
         (radius + cell) ** d * radius**power + d * inner / (2.0 * rate))
 
 
-def _cutoff(tail, target, r_max, which):
-    """Bisect for the smallest radius (to 1e-6 relative) at which tail(radius)
+def _cutoff(tail, target, r_max, which, rel=1e-6):
+    """Bisect for the smallest radius (to rel relative) at which tail(radius)
     <= target; returns the radius and its tail.  A NaN or infinite tail
     counts as missing the target."""
     lo, hi = 0.0, 1.0
@@ -532,7 +545,7 @@ def _cutoff(tail, target, r_max, which):
             raise UnreachableTolerance(
                 f"{which} cutoff for a tail of {target:g} exceeds the shell budget")
         lo, hi = hi, min(2.0 * hi, r_max)
-    while hi - lo > 1e-6 * hi:
+    while hi - lo > rel * hi:
         mid = 0.5 * (lo + hi)
         if tail(mid) <= target:
             hi = mid
@@ -555,7 +568,51 @@ def _rounding_floor(lat, pot, eta):
     return _EPS * max(mags)
 
 
-def plan_ewald(lat, pot, tol, eta=1.0):
+def _cutoffs(lat, pot, tol, eta, rel=1e-6):
+    """(r_cut, direct tail, k_cut, dual tail) of plan_ewald at one eta, in
+    closed form and bisected to rel, without enumerating a vector."""
+    d = lat.dimension
+    cell = lat.half_cell_diameter
+    # at least V_d r^d vectors lie within r + cell (their cells cover the
+    # ball of radius r), and at least V_d (k - dual cell)^d - 1 nonzero dual
+    # vectors within k
+    r_max = (_SHELL_BUDGET / _ball_volume(d)) ** (1.0 / d)
+
+    r_cut, direct_tail = _cutoff(
+        lambda r: _tail_bound(pot.direct_majorant(eta, r), r, cell, d),
+        tol / 2.0, r_max, "direct", rel)
+    k_cut = dual_tail = 0.0
+    if pot.dual_coeffs(eta, d) is not None:
+        dual_cell = lat.dual_half_cell_diameter
+        k_cut, dual_tail = _cutoff(
+            lambda k: _tail_bound(pot.dual_majorant(eta, d, k), k, dual_cell, d),
+            tol / 2.0, r_max + dual_cell, "dual", rel)
+    return r_cut, direct_tail, k_cut, dual_tail
+
+
+def _cheapest_eta(lat, pot, tol):
+    """The eta of _ETA_LADDER whose plan costs least per pair, D +
+    _DUAL_TERM_COST K, with D = V_d (r_cut + cell)^d direct images and K =
+    V_d k_cut^d dual terms counted in closed form (V_d, common to both, is
+    dropped).  The cutoffs are bisected to 1e-2 only: the rungs' costs
+    differ by far more.  A rung below its own rounding floor, or whose
+    cutoff is out of reach, is skipped; if every rung is, the answer is 1,
+    whose plan then raises."""
+    d = lat.dimension
+    cell = lat.half_cell_diameter
+    best_cost, best_eta = math.inf, 1.0
+    for eta in _ETA_LADDER:
+        try:
+            r_cut, _, k_cut, _ = _cutoffs(lat, pot, tol, eta, rel=1e-2)
+        except UnreachableTolerance:
+            continue
+        cost = (r_cut + cell) ** d + _DUAL_TERM_COST * k_cut**d
+        if cost < best_cost and tol >= _rounding_floor(lat, pot, eta):
+            best_cost, best_eta = cost, eta
+    return best_eta
+
+
+def plan_ewald(lat, pot, tol, eta=None):
     """Choose truncation radii whose certified tail bounds are each at most
     tol/2.
 
@@ -568,6 +625,13 @@ def plan_ewald(lat, pot, tol, eta=1.0):
     bounds are closed forms; each cutoff is the bisected smallest radius
     whose bound is at most tol/2, and the plan records those bounds.
 
+    eta=None lets a cost model choose the split (_cheapest_eta): of eta =
+    1, 2, 4, ..., 128 it takes the one with the fewest direct images plus
+    _DUAL_TERM_COST times the dual terms per pair, both counted in closed
+    form from the cutoffs, so only the chosen eta enumerates shells.  The
+    model has no N, so one plan serves every N.  The Gaussian, which has no
+    dual part, keeps eta = 1.  A given eta is used as it is.
+
     tol must be finite and positive and no smaller than the rounding floor
     of the sum (_rounding_floor); eta must be finite and positive.  A cutoff
     that would put more than _SHELL_BUDGET vectors inside its radius raises
@@ -575,28 +639,17 @@ def plan_ewald(lat, pot, tol, eta=1.0):
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter(f"tol must be a positive finite number, got {tol}")
+    if eta is None:
+        no_dual = pot.dual_coeffs(1.0, lat.dimension) is None
+        eta = 1.0 if no_dual else _cheapest_eta(lat, pot, tol)
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidParameter(f"eta must be a positive finite number, got {eta}")
     floor = _rounding_floor(lat, pot, eta)
     if tol < floor:
         raise UnreachableTolerance(
             f"tol={tol:g} is below the rounding floor {floor:.2g} of the sum")
-    d = lat.dimension
+    r_cut, direct_tail, k_cut, dual_tail = _cutoffs(lat, pot, tol, eta)
     cell = lat.half_cell_diameter
-    # at least V_d r^d vectors lie within r + cell (their cells cover the
-    # ball of radius r), and at least V_d (k - dual cell)^d - 1 nonzero dual
-    # vectors within k
-    r_max = (_SHELL_BUDGET / _ball_volume(d)) ** (1.0 / d)
-
-    r_cut, direct_tail = _cutoff(
-        lambda r: _tail_bound(pot.direct_majorant(eta, r), r, cell, d),
-        tol / 2.0, r_max, "direct")
-    k_cut = dual_tail = 0.0
-    if pot.dual_coeffs(eta, d) is not None:
-        dual_cell = lat.dual_half_cell_diameter
-        k_cut, dual_tail = _cutoff(
-            lambda k: _tail_bound(pot.dual_majorant(eta, d, k), k, dual_cell, d),
-            tol / 2.0, r_max + dual_cell, "dual")
 
     direct = enumerate_shells(lat, "direct", r_cut + cell)
     if len(direct) > _SHELL_BUDGET:
@@ -640,40 +693,32 @@ def min_image_difference(lat, x, y):
     return lat.to_cartesian(f)
 
 
-def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
-    """Kernel values (and gradients) for a batch of Cartesian differences.
-
-    Q has shape (n, d); rows should be min-imaged representatives.  Returns
-    (values, grads, degenerate) where grads is None unless requested and
-    degenerate marks rows lying on the lattice.  Values at degenerate rows
-    are +inf for the singular potentials; gradients there are zero-filled.
-    An array abs_sums of shape (n,) receives, in the same pass, each row's
-    sum of |terms| (direct terms, dual terms and the constant; 0 at
-    degenerate rows), which bounds the rounding of the value through the
-    family's rel_accuracy.
-    """
+def _check_plan(lat, pot, plan):
+    """Refuse a plan built for another potential or lattice."""
     if plan.potential != pot:
         raise PlanMismatch(
             f"plan built for {plan.potential.label}, "
             f"asked to evaluate {pot.label}")
     if plan.lattice is not lat and not np.array_equal(plan.lattice.basis, lat.basis):
         raise PlanMismatch("plan built for a different lattice")
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+
+
+def _direct_sums(pot, plan, Q, want_grad=False, abs_sums=None):
+    """Direct-space sums at the rows of Q, shape (n, d), in blocks of at most
+    _BLOCK_PAIR_IMAGES (row, image) pairs: (values, grads, degenerate).
+
+    values and grads hold each row's sum over the plan's direct images of
+    the terms and of their gradients; degenerate marks rows lying on the
+    lattice, whose sums are meaningless for the singular families.  abs_sums,
+    if given, receives each row's sum of |terms|.
+    """
     n, d = Q.shape
-    if d != lat.dimension:
-        raise DimensionMismatch("difference vectors have wrong dimension")
-    eta = plan.eta
-
-    W = plan.dual_vectors_half
-    if W.shape[0]:
-        a = pot.dual_coeffs(eta, d)(plan.dual_norms_half)
-    terms = pot.direct_terms(eta, want_grad)
-
+    terms = pot.direct_terms(plan.eta, want_grad)
     # component-major (d, rows, images) differences keep every inner loop
     # over the long image axis
     VT = np.ascontiguousarray(plan.direct_vectors.T)
     QT = np.ascontiguousarray(Q.T)
-    step = max(1, _BLOCK_PAIR_IMAGES // max(VT.shape[1], W.shape[0]))
+    step = max(1, _BLOCK_PAIR_IMAGES // VT.shape[1])
     values = np.empty(n)
     grads = np.empty((n, d)) if want_grad else None
     degenerate = np.zeros(n, dtype=bool)
@@ -684,21 +729,61 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
         on_lattice = r < _SINGULAR_EPS
         degenerate[rows] = on_lattice.any(axis=1)
         if pot.singular and degenerate[rows].any():
-            r[on_lattice] = 1.0  # keeps the terms finite; rows reset below
+            r[on_lattice] = 1.0  # keeps the terms finite; callers reset rows
         t, radial = terms(r)
         values[rows] = t.sum(axis=1)
         if abs_sums is not None:
             abs_sums[rows] = np.abs(t).sum(axis=1)
         if want_grad:
             grads[rows] = np.einsum("nv,knv->nk", radial, R)
-        if W.shape[0]:
-            phase = 2.0 * math.pi * (Q[rows] @ W.T)
-            cos = np.cos(phase)
-            values[rows] += 2.0 * (cos @ a)
+        # freed before the next block is built, so no two blocks coexist
+        del R, r, t, radial
+    return values, grads, degenerate
+
+
+def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
+    """Kernel values (and gradients) for a batch of Cartesian differences,
+    pair by pair: the reference path.
+
+    Q has shape (n, d); rows should be min-imaged representatives.  Returns
+    (values, grads, degenerate) where grads is None unless requested and
+    degenerate marks rows lying on the lattice.  Values at degenerate rows
+    are +inf for the singular potentials; gradients there are zero-filled.
+    An array abs_sums of shape (n,) receives, in the same pass, each row's
+    sum of |terms| (direct terms, dual terms and the constant; 0 at
+    degenerate rows), which bounds the rounding of the value through the
+    family's rel_accuracy.  Every row is reduced in an order that does not
+    depend on the other rows of the batch, so a row's result is the same
+    whichever batch it is evaluated in.
+    """
+    _check_plan(lat, pot, plan)
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    n, d = Q.shape
+    if d != lat.dimension:
+        raise DimensionMismatch("difference vectors have wrong dimension")
+    eta = plan.eta
+    values, grads, degenerate = _direct_sums(pot, plan, Q, want_grad, abs_sums)
+
+    W = plan.dual_vectors_half
+    if W.shape[0]:
+        a = pot.dual_coeffs(eta, d)(plan.dual_norms_half)
+        WT = np.ascontiguousarray(W.T)
+        step = max(1, _BLOCK_PAIR_IMAGES // W.shape[0])
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            # elementwise products reduced along each row's own contiguous
+            # axis: a matrix product would take a block through gemm and a
+            # single row through gemv, which sum in different orders
+            phase = 2.0 * math.pi * sum(Q[rows, c, None] * WT[c]
+                                        for c in range(d))
+            cos_a = np.cos(phase) * a
+            values[rows] += 2.0 * cos_a.sum(axis=1)
             if abs_sums is not None:
-                abs_sums[rows] += 2.0 * (np.abs(cos) @ np.abs(a))
+                abs_sums[rows] += 2.0 * np.abs(cos_a).sum(axis=1)
             if want_grad:
-                grads[rows] -= 4.0 * math.pi * ((np.sin(phase) * a) @ W)
+                sin_a = np.sin(phase) * a
+                for c in range(d):
+                    grads[rows, c] -= 4.0 * math.pi * (sin_a * WT[c]).sum(axis=1)
     const = pot.eta_constant(eta, d)
     values += const
 
@@ -710,6 +795,42 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     if pot.singular:
         values[degenerate] = math.inf
     return values, grads, degenerate
+
+
+def _dual_energy(pot, plan, X, want_grad=False):
+    """Reciprocal part of the energy of the Cartesian points X, shape (N, d),
+    summed over the N(N-1) ordered pairs, from structure factors.
+
+    With S(w) = sum_j exp(2 pi i w.x_j) over the plan's half dual vectors w
+    and a(w) the family's coefficient, the part is 2 sum_w a(w) (|S(w)|^2 -
+    N), in O(N K) operations instead of the O(N^2 K) of the pairs.  Returns
+    (energy, grad); grad, the Cartesian gradient with respect to each point,
+    is 8 pi sum_w a(w) (Im S cos phi_j - Re S sin phi_j) w with phi_j = 2 pi
+    w.x_j, and None unless requested.  The N x K phase arrays are built in
+    blocks of at most _BLOCK_PAIR_IMAGES entries.
+    """
+    n, d = X.shape
+    grad = np.zeros((n, d)) if want_grad else None
+    W = plan.dual_vectors_half
+    if not W.shape[0]:
+        return 0.0, grad
+    a = pot.dual_coeffs(plan.eta, d)(plan.dual_norms_half)
+    X2pi = 2.0 * math.pi * X
+    step = max(1, _BLOCK_PAIR_IMAGES // n)
+    energy = 0.0
+    for lo in range(0, W.shape[0], step):
+        cols = slice(lo, lo + step)
+        phase = X2pi @ W[cols].T
+        cos, sin = np.cos(phase), np.sin(phase)
+        s_re, s_im = cos.sum(axis=0), sin.sum(axis=0)
+        ac = a[cols]
+        energy += 2.0 * float(ac @ (s_re * s_re + s_im * s_im - n))
+        if want_grad:
+            cos *= ac * s_im
+            sin *= ac * s_re
+            cos -= sin
+            grad += 8.0 * math.pi * (cos @ W[cols])
+    return energy, grad
 
 
 def kernel_value(plan, x, y):

@@ -9,6 +9,7 @@ generator).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -87,17 +88,26 @@ class Lattice:
         g = np.where(g >= 1.0 - _SNAP, 0.0, g)
         return g
 
-    @property
+    @functools.cached_property
     def half_cell_diameter(self):
         """max |V f| over f in [-1/2, 1/2]^d: the largest norm of a
         min-imaged point, and the circumradius of the cell centred on each
         lattice vector."""
         return _corner_radius(self.basis)
 
-    @property
+    @functools.cached_property
     def dual_half_cell_diameter(self):
         """half_cell_diameter of the dual lattice's basis."""
         return _corner_radius(self.dual_basis)
+
+    @functools.cached_property
+    def _min_dual_norm(self):
+        """min_dual_norm: the shortest dual generator is itself a candidate,
+        so scanning the integer box of radius min(dual column norms) is
+        provably sufficient."""
+        bound = float(np.min(np.linalg.norm(self.dual_basis, axis=0)))
+        r2 = sum(c * c for c in box_vectors(self, "dual", bound))
+        return math.sqrt(float(r2[r2 > 0.0].min()))
 
     # -- serialization -----------------------------------------------------
 
@@ -231,11 +241,6 @@ def reduce_to_cell(lat, x):
 
 
 def min_dual_norm(lat):
-    """Length |w0| of a shortest nonzero dual lattice vector.
-
-    The shortest dual generator is itself a candidate, so scanning the
-    integer box of radius min(dual column norms) is provably sufficient.
-    """
-    bound = float(np.min(np.linalg.norm(lat.dual_basis, axis=0)))
-    r2 = sum(c * c for c in box_vectors(lat, "dual", bound))
-    return math.sqrt(float(r2[r2 > 0.0].min()))
+    """Length |w0| of a shortest nonzero dual lattice vector, computed once
+    per lattice."""
+    return lat._min_dual_norm

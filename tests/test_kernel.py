@@ -62,7 +62,9 @@ def test_labels_in_use_keep_their_text():
 
 
 def test_plan_cutoffs_and_self_refinement():
-    plan = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-12)
+    # the r_cut range holds at the canonical split eta = 1; the cost model's
+    # default eta takes a shorter direct cutoff
+    plan = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-12, eta=1.0)
     assert 4.0 <= plan.r_cut <= 10.0
     assert plan.guaranteed_abs_err <= 1e-12
     # realized truncation error against a much tighter reference plan
@@ -422,14 +424,13 @@ _FAMILIES = (kn.Riesz(0.8), kn.Riesz(1.0), kn.LogRiesz(1.3), kn.Log(),
              kn.Gaussian(0.7))
 
 
-@pytest.mark.parametrize("pot", _FAMILIES, ids=lambda p: p.label)
-@pytest.mark.parametrize("want_grad", (False, True))
-def test_blocked_batch_matches_row_by_row(monkeypatch, pot, want_grad):
-    plan = kn.plan_ewald(Z2, pot, 1e-10)
+def _blocked_rows_match(monkeypatch, pot, want_grad, eta):
+    plan = kn.plan_ewald(Z2, pot, 1e-10, eta)
     rng = np.random.default_rng(21)
     Q = Z2.to_cartesian(rng.uniform(-0.5, 0.5, (13, 2)))
     Q[7] = 0.0  # a lattice point in the second block
-    # five rows per block, so the 13 rows fall into blocks of 5, 5 and 3
+    # at least five rows per block of the longer sum, so its 13 rows fall
+    # into blocks of 5, 5 and 3
     monkeypatch.setattr(kn, "_BLOCK_PAIR_IMAGES",
                         5 * max(plan.terms_direct, plan.terms_dual))
     values, grads, degenerate = kn.evaluate_batch(Z2, pot, plan, Q, want_grad)
@@ -448,6 +449,20 @@ def test_blocked_batch_matches_row_by_row(monkeypatch, pot, want_grad):
             assert grads is None and g is None
     if want_grad:
         assert np.array_equal(grads[7], np.zeros(2))
+
+
+@pytest.mark.parametrize("pot", _FAMILIES, ids=lambda p: p.label)
+@pytest.mark.parametrize("want_grad", (False, True))
+def test_blocked_batch_matches_row_by_row(monkeypatch, pot, want_grad):
+    # at eta = 16 (the planner's choice on Z2) the dual sum is long enough
+    # that a gemm/gemv reduction order shows in the gradient rows
+    _blocked_rows_match(monkeypatch, pot, want_grad, 16.0)
+
+
+@pytest.mark.parametrize("pot", _FAMILIES, ids=lambda p: p.label)
+@pytest.mark.parametrize("want_grad", (False, True))
+def test_blocked_batch_matches_row_by_row_at_eta_1(monkeypatch, pot, want_grad):
+    _blocked_rows_match(monkeypatch, pot, want_grad, 1.0)
 
 
 def test_gamma_q_half_erfc_branch():
