@@ -595,21 +595,23 @@ def _cheapest_eta(lat, pot, tol):
     _DUAL_TERM_COST K, with D = V_d (r_cut + cell)^d direct images and K =
     V_d k_cut^d dual terms counted in closed form (V_d, common to both, is
     dropped).  The cutoffs are bisected to 1e-2 only: the rungs' costs
-    differ by far more.  A rung below its own rounding floor, or whose
-    cutoff is out of reach, is skipped; if every rung is, the answer is 1,
-    whose plan then raises."""
+    differ by far more.  A rung whose cutoff is out of reach, or that lies
+    below its own rounding floor, is skipped (the floors are taken cheapest
+    rung first, so usually once); if every rung is, the answer is 1, whose
+    plan then raises."""
     d = lat.dimension
     cell = lat.half_cell_diameter
-    best_cost, best_eta = math.inf, 1.0
+    costs = []
     for eta in _ETA_LADDER:
         try:
             r_cut, _, k_cut, _ = _cutoffs(lat, pot, tol, eta, rel=1e-2)
         except UnreachableTolerance:
             continue
-        cost = (r_cut + cell) ** d + _DUAL_TERM_COST * k_cut**d
-        if cost < best_cost and tol >= _rounding_floor(lat, pot, eta):
-            best_cost, best_eta = cost, eta
-    return best_eta
+        costs.append(((r_cut + cell) ** d + _DUAL_TERM_COST * k_cut**d, eta))
+    for _, eta in sorted(costs):
+        if tol >= _rounding_floor(lat, pot, eta):
+            return eta
+    return 1.0
 
 
 def plan_ewald(lat, pot, tol, eta=None):

@@ -153,6 +153,79 @@ def test_permutation_invariance_exact():
 
 
 # ---------------------------------------------------------------------------
+# structure-factor reciprocal part against the pairwise kernel
+# ---------------------------------------------------------------------------
+
+_PRESETS = ("Z1", "Z2", "Z3", "hex", "fcc-like")
+_SF_POTENTIALS = ("riesz:0.5", "riesz:1", "riesz:2.5", "logriesz:0.5",
+                  "logriesz:1.7", "log", "gaussian:0.5")
+
+
+def _pairwise_energy(cfg, pot, plan):
+    """2 sum over unordered pairs of evaluate_batch, and its fractional
+    gradient: the reference that total_energy's S(w) path replaces."""
+    j, k, Q = en._pair_differences(cfg)
+    values, grads, _ = kn.evaluate_batch(cfg.lattice, pot, plan, Q,
+                                         want_grad=True)
+    gradient = np.zeros_like(cfg.points)
+    np.add.at(gradient, j, 2.0 * grads)
+    np.add.at(gradient, k, -2.0 * grads)
+    return 2.0 * float(values.sum()), gradient @ cfg.lattice.basis
+
+
+@pytest.mark.parametrize("eta", (None, 1.0), ids=("default", "eta1"))
+@pytest.mark.parametrize("name", _PRESETS)
+def test_structure_factor_energy_matches_pairwise(name, eta):
+    lat = lattice_preset(name)
+    rng = np.random.default_rng([20, _PRESETS.index(name)])
+    for text in _SF_POTENTIALS:
+        pot = kn.parse_potential(text)
+        plan = kn.plan_ewald(lat, pot, 1e-12, eta)
+        cfg = en.Configuration.random(lat, 20, rng)
+        rep = en.total_energy(cfg, pot, plan, with_gradient=True)
+        e, g = _pairwise_energy(cfg, pot, plan)
+        where = f"{name} {text} eta={plan.eta}"
+        assert abs(rep.energy - e) <= 1e-12 * abs(e), where
+        assert np.max(np.abs(rep.gradient - g)) <= 1e-12 * np.max(np.abs(g)), where
+
+
+def test_structure_factor_energy_coincident_pair_and_one_point():
+    pot = kn.LogRiesz(0.5)
+    lat = lattice_preset("hex")
+    plan = kn.plan_ewald(lat, pot, 1e-12)
+    pts = np.array([[0.1, 0.7], [0.4, 0.2], [0.1, 0.7], [0.8, 0.5]])
+    rep = en.total_energy(en.Configuration(lat, pts), pot, plan,
+                          with_gradient=True)
+    assert rep.energy == math.inf
+    assert rep.degenerate_pairs == [(0, 2)]
+    assert rep.gradient is None
+    one = en.total_energy(en.Configuration(lat, pts[:1]), pot, plan,
+                          with_gradient=True)
+    assert one.energy == 0.0
+    assert np.array_equal(one.gradient, np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("name", ("Z2", "hex", "Z3", "fcc-like"))
+@pytest.mark.parametrize("s", (0.5, 1.0, 1.5))
+def test_refinement_law(name, s):
+    # the m-fold refinement of a unit-covolume lattice, N = m^d points, has
+    # E = N(N-1) W + N(N^(s/d) - 1) zeta_Lambda(s), W = 2 pi^(d/2) /
+    # (Gamma(s/2)(d - s)), on the planner's default split
+    lat = lattice_preset(name)
+    d = lat.dimension
+    pot = kn.Riesz(s)
+    plan = kn.plan_ewald(lat, pot, 1e-12)
+    w = 2.0 * math.pi ** (d / 2.0) / (math.gamma(s / 2.0) * (d - s))
+    zeta = kn.epstein_zeta(lat, s)
+    for m in (2, 3, 4):
+        n = m**d
+        e = en.total_energy(en.Configuration.lattice_refinement(lat, m), pot,
+                            plan).energy
+        law = n * (n - 1) * w + n * (n ** (s / d) - 1.0) * zeta
+        assert abs(e - law) <= 1e-12 * abs(law), (m, e, law)
+
+
+# ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
 
