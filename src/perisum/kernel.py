@@ -106,7 +106,7 @@ _BLOCK_PAIR_IMAGES = 1 << 17
 _SHELL_BUDGET = 500_000
 # the splits plan_ewald chooses from when no eta is given, and the cost of
 # one dual term relative to one direct image in the pairwise kernel
-# (evaluate_batch on many rows, measured 0.07-0.35 over the families)
+# (evaluate_batch on many rows, measured 0.06-0.32 over the families)
 _ETA_LADDER = tuple(2.0**i for i in range(8))
 _DUAL_TERM_COST = 0.1
 _EPS = float(np.finfo(float).eps)
