@@ -157,7 +157,7 @@ def total_energy(cfg, pot, plan, with_gradient=False):
     degenerate_pairs = [(int(a), int(b)) for a, b in zip(j[degen], k[degen])]
     if pot.singular and degen.any():
         return EnergyReport(math.inf, None, degenerate_pairs, plan, bound)
-    dual, gradient = kn._dual_energy(pot, plan, cfg.cartesian(), with_gradient)
+    dual, gradient = kn._dual_energy(plan, cfg.cartesian(), with_gradient)
     # the constant joins each pair's direct sum before the pairs are summed,
     # as in the pairwise kernel: for the Gaussian it nearly cancels them
     direct += pot.eta_constant(plan.eta, lat.dimension)

@@ -77,7 +77,7 @@ from .errors import (
     PolePoint,
     UnreachableTolerance,
 )
-from .lattice import Lattice, box_vectors, enumerate_shells, min_dual_norm
+from .lattice import Lattice, box_blocks, enumerate_shells, min_dual_norm
 
 __all__ = [
     "Riesz",
@@ -450,8 +450,9 @@ def parse_potential(text):
 @dataclass(frozen=True, eq=False)
 class EwaldPlan:
     """Truncation radii with certified tail bounds for one (lattice,
-    potential, eta) combination.  Holds the enumerated shells so repeated
-    evaluations share them."""
+    potential, eta) combination.  Holds the enumerated shells and the dual
+    coefficients a(w) at the half dual vectors, so repeated evaluations
+    share them."""
 
     lattice: Lattice
     potential: object
@@ -464,6 +465,7 @@ class EwaldPlan:
     direct_vectors: np.ndarray = field(repr=False, default=None)
     dual_vectors_half: np.ndarray = field(repr=False, default=None)
     dual_norms_half: np.ndarray = field(repr=False, default=None)
+    dual_coeffs_half: np.ndarray = field(repr=False, default=None)
 
     @property
     def guaranteed_abs_err(self):
@@ -658,6 +660,8 @@ def plan_ewald(lat, pot, tol, eta=None):
         raise UnreachableTolerance("direct shell count exceeds budget")
     dual = enumerate_shells(lat, "dual", k_cut)
     wh, wn, _ = dual.half()
+    coeffs = pot.dual_coeffs(eta, lat.dimension)
+    wa = coeffs(wn) if coeffs is not None else np.zeros(0)
 
     return EwaldPlan(
         lattice=lat,
@@ -671,6 +675,7 @@ def plan_ewald(lat, pot, tol, eta=None):
         direct_vectors=direct.vectors,
         dual_vectors_half=wh,
         dual_norms_half=wn,
+        dual_coeffs_half=wa,
     )
 
 
@@ -768,7 +773,7 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
 
     W = plan.dual_vectors_half
     if W.shape[0]:
-        a = pot.dual_coeffs(eta, d)(plan.dual_norms_half)
+        a = plan.dual_coeffs_half
         WT = np.ascontiguousarray(W.T)
         step = max(1, _BLOCK_PAIR_IMAGES // W.shape[0])
         for lo in range(0, n, step):
@@ -799,12 +804,12 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     return values, grads, degenerate
 
 
-def _dual_energy(pot, plan, X, want_grad=False):
+def _dual_energy(plan, X, want_grad=False):
     """Reciprocal part of the energy of the Cartesian points X, shape (N, d),
     summed over the N(N-1) ordered pairs, from structure factors.
 
     With S(w) = sum_j exp(2 pi i w.x_j) over the plan's half dual vectors w
-    and a(w) the family's coefficient, the part is 2 sum_w a(w) (|S(w)|^2 -
+    and a(w) the plan's coefficient, the part is 2 sum_w a(w) (|S(w)|^2 -
     N), in O(N K) operations instead of the O(N^2 K) of the pairs.  Returns
     (energy, grad); grad, the Cartesian gradient with respect to each point,
     is 8 pi sum_w a(w) (Im S cos phi_j - Re S sin phi_j) w with phi_j = 2 pi
@@ -816,7 +821,7 @@ def _dual_energy(pot, plan, X, want_grad=False):
     W = plan.dual_vectors_half
     if not W.shape[0]:
         return 0.0, grad
-    a = pot.dual_coeffs(plan.eta, d)(plan.dual_norms_half)
+    a = plan.dual_coeffs_half
     X2pi = 2.0 * math.pi * X
     step = max(1, _BLOCK_PAIR_IMAGES // n)
     energy = 0.0
@@ -937,8 +942,7 @@ def epstein_zeta(lat, s, tol=1e-12):
     plan = plan_ewald(lat, pot, tol, 1.0)
     t, _ = pot.direct_terms(1.0)(np.linalg.norm(plan.direct_vectors[1:], axis=1))
     direct = float(t.sum())
-    a = pot.dual_coeffs(1.0, d)(plan.dual_norms_half)
-    dual = 2.0 * float(a.sum())
+    dual = 2.0 * float(plan.dual_coeffs_half.sum())
     return (direct + dual - 1.0 / math.gamma(s / 2.0 + 1.0)
             - _shift_constant(s, d))
 
@@ -965,9 +969,11 @@ def convergence_factor_oracle(lat, q, s, a_sequence):
         if not 0.0 < a <= 1.0:
             raise ValueError("convergence-factor parameters must be in (0, 1]")
         radius = 6.5 / a + lat.half_cell_diameter
-        box = box_vectors(lat, "direct", radius)
-        r2 = sum((qi + c) ** 2 for qi, c in zip(qm, box))
-        lattice_sum = float(np.sum(r2 ** (-s / 2.0) * np.exp(-(a * a) * r2)))
+        partials = []
+        for v in box_blocks(lat, "direct", radius):
+            r2 = sum((qi + c) ** 2 for qi, c in zip(qm, v))
+            partials.append(float(np.sum(r2 ** (-s / 2.0) * np.exp(-(a * a) * r2))))
+        lattice_sum = math.fsum(partials)
 
         def integrand(u):
             # endpoint singularity t^(s/2-1) removed by t = u^(2/s)

@@ -24,7 +24,7 @@ __all__ = [
     "lattice_from_basis",
     "lattice_preset",
     "enumerate_shells",
-    "box_vectors",
+    "box_blocks",
     "reduce_to_cell",
     "min_dual_norm",
     "PRESETS",
@@ -33,6 +33,9 @@ __all__ = [
 # fractional coordinates within this distance of 1.0 snap to 0.0 so that
 # reduction into the half-open cell is idempotent
 _SNAP = 1e-15
+
+# most points in one block of box_blocks: 1 MiB per float coordinate array
+_BOX_BLOCK = 1 << 17
 
 # raw (pre-normalization) bases for the named presets; columns are generators
 PRESETS = {
@@ -106,8 +109,11 @@ class Lattice:
         so scanning the integer box of radius min(dual column norms) is
         provably sufficient."""
         bound = float(np.min(np.linalg.norm(self.dual_basis, axis=0)))
-        r2 = sum(c * c for c in box_vectors(self, "dual", bound))
-        return math.sqrt(float(r2[r2 > 0.0].min()))
+        r2 = math.inf
+        for block in box_blocks(self, "dual", bound):
+            b2 = sum(c * c for c in block)
+            r2 = min(r2, float(np.min(b2, initial=math.inf, where=b2 > 0.0)))
+        return math.sqrt(r2)
 
     # -- serialization -----------------------------------------------------
 
@@ -180,7 +186,7 @@ class ShellIterator:
 
     The ordering is a fixed total order, so the enumeration for a smaller
     radius is always a prefix of the enumeration for a larger one.  It serves
-    the Ewald plan and gaussian_kernel; order-free sums use box_vectors.
+    the Ewald plan and gaussian_kernel; order-free sums walk box_blocks.
     """
 
     def __init__(self, lattice, which, max_radius):
@@ -219,17 +225,42 @@ def enumerate_shells(lat, which, max_radius):
     return ShellIterator(lat, which, max_radius)
 
 
-def box_vectors(lat, which, radius):
-    """The d coordinate arrays of B k for every integer k in the box that
-    enumerate_shells cuts its ball |B k| <= radius from, built from np.ix_
-    open grids, unsorted and unfiltered, for order-free sums of terms that
-    are small outside the ball.  Refuses a box of more than 2e7 points."""
+def box_blocks(lat, which, radius):
+    """The integer box that enumerate_shells cuts its ball |B k| <= radius
+    from, for order-free sums of terms that are small outside the ball:
+    a generator of blocks, each the d coordinate arrays of B k over at most
+    _BOX_BLOCK integer points k, unsorted and unfiltered, that together
+    cover the box once.  Refuses a box of more than 2e7 points here, before
+    any block is built."""
     basis, bound = _integer_box(lat, which, radius)
     if np.prod(2.0 * bound + 1.0) > 2e7:
         raise ValueError(f"the integer box for radius {radius:.3g} has more "
                          "than 2e7 points")
-    k = np.ix_(*[np.arange(-b, b + 1, dtype=float) for b in bound])
-    return [sum(b * kj for b, kj in zip(row, k)) for row in basis]
+    return _box_walk(basis, [np.arange(-b, b + 1, dtype=float) for b in bound])
+
+
+def _box_walk(basis, axes):
+    """Blocks of box_blocks over the integer box axes[0] x ... x axes[-1].
+
+    The box is split along its first axis j whose trailing box, axes[j+1:],
+    fits in a block: for every point of the leading axes[:j] (just one, the
+    empty one, unless the box is very lopsided), runs of consecutive
+    coordinates of axis j are added to the trailing part of B k, built once
+    from np.ix_ open grids.  In d = 1 the blocks are chunks of the axis.
+    """
+    d = len(axes)
+    sizes = [len(a) for a in axes]
+    j = next(j for j in range(d) if math.prod(sizes[j + 1:]) <= _BOX_BLOCK)
+    step = _BOX_BLOCK // math.prod(sizes[j + 1:])
+    grids = np.ix_(*axes[j + 1:])
+    trailing = [sum(b * g for b, g in zip(row[j + 1:], grids)) for row in basis]
+    run_shape = (-1,) + (1,) * (d - j - 1)
+    for lead in itertools.product(*axes[:j]):
+        offset = basis[:, :j] @ np.array(lead)
+        part = [t + o for t, o in zip(trailing, offset)] if j else trailing
+        for lo in range(0, sizes[j], step):
+            run = axes[j][lo:lo + step].reshape(run_shape)
+            yield [row[j] * run + t for row, t in zip(basis, part)]
 
 
 def reduce_to_cell(lat, x):

@@ -18,7 +18,7 @@ import numpy as np
 from . import energy as en
 from . import kernel as kn
 from . import specfun as sf
-from .lattice import box_vectors, lattice_preset
+from .lattice import box_blocks, lattice_preset
 
 __all__ = [
     "CheckResult",
@@ -186,6 +186,11 @@ def check_multiplication(n, s):
 # ---------------------------------------------------------------------------
 
 
+def _shifted_r2(x, block):
+    """|x + v|^2 over one block of box_blocks."""
+    return sum((xi + c) ** 2 for xi, c in zip(x, block))
+
+
 def check_poisson(lat, x, omega):
     """Gaussian Poisson summation on a unit-covolume lattice:
     sum_v exp(-omega |x+v|^2)
@@ -195,13 +200,13 @@ def check_poisson(lat, x, omega):
     d = lat.dimension
     x = np.asarray(x, dtype=float)
     r_max = math.sqrt(48.0 / omega) + lat.half_cell_diameter + float(np.linalg.norm(x))
-    r2 = sum((xi + c) ** 2 for xi, c in zip(x, box_vectors(lat, "direct", r_max)))
-    lhs = float(np.exp(-omega * r2).sum())
+    lhs = math.fsum(float(np.exp(-omega * _shifted_r2(x, v)).sum())
+                    for v in box_blocks(lat, "direct", r_max))
     k_max = math.sqrt(48.0 * omega) / math.pi + 1.0
-    w = box_vectors(lat, "dual", k_max)
-    rhs = (math.pi / omega) ** (d / 2.0) * float(
-        np.sum(np.cos(2.0 * math.pi * sum(xi * c for xi, c in zip(x, w)))
-               * np.exp(-math.pi**2 * sum(c * c for c in w) / omega)))
+    rhs = (math.pi / omega) ** (d / 2.0) * math.fsum(
+        float(np.sum(np.cos(2.0 * math.pi * sum(xi * c for xi, c in zip(x, w)))
+                     * np.exp(-math.pi**2 * sum(c * c for c in w) / omega)))
+        for w in box_blocks(lat, "dual", k_max))
     return _make_check(
         f"poisson(d={d},omega={omega:.3g})", lhs, rhs, 1e-12,
         note=f"x={np.array2string(x, precision=4)}")
@@ -217,11 +222,13 @@ def brute_force_epstein_hurwitz(lat, q, s, tail_target=1e-11):
     """Direct sum of |q+v|^-s over the lattice (s > d), independent of the
     Ewald machinery.  The radius comes from the integral tail bound: terms
     beyond it sum to at most tail_target/4 (2.5e-12 in d = 1).  The sum runs
-    over the box of box_vectors, which holds that ball, so its truncation is
-    at most the ball's tail.  In d = 1, s in {3, 4.5, 7}, q in {0.29, 0.5,
-    0.71}, truncation and rounding together stay within 1.5e-13 relative of
-    hurwitz_zeta(s, q) + hurwitz_zeta(s, 1 - q).  The radius grows like
-    tail_target^(-1/(s-d)); box_vectors refuses boxes beyond 2e7 points."""
+    block by block over the box of box_blocks, which holds that ball, so its
+    truncation is at most the ball's tail, in memory bounded by one block;
+    the blocks' partial sums are added exactly (math.fsum).
+    In d = 1, s in {3, 4.5, 7}, q in {0.29, 0.5, 0.71}, truncation and
+    rounding together stay within 1.5e-13 relative of hurwitz_zeta(s, q) +
+    hurwitz_zeta(s, 1 - q).  The radius grows like tail_target^(-1/(s-d));
+    box_blocks refuses boxes beyond 2e7 points."""
     d = lat.dimension
     if s <= d:
         raise ValueError("direct sum requires s > d")
@@ -229,8 +236,8 @@ def brute_force_epstein_hurwitz(lat, q, s, tail_target=1e-11):
     radius = (4.0 * sigma_d / ((s - d) * tail_target)) ** (1.0 / (s - d))
     radius = max(radius, 4.0) + lat.half_cell_diameter
     q = np.asarray(q, dtype=float)
-    r2 = sum((qi + c) ** 2 for qi, c in zip(q, box_vectors(lat, "direct", radius)))
-    return float(np.sum(r2 ** (-s / 2.0)))
+    return math.fsum(float(np.sum(_shifted_r2(q, v) ** (-s / 2.0)))
+                     for v in box_blocks(lat, "direct", radius))
 
 
 def check_constant_shift(lat, q, s):

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from perisum import lattice as lattice_module
 from perisum.errors import DimensionMismatch, SingularBasis
 from perisum.lattice import (
     PRESETS,
     Lattice,
-    box_vectors,
+    _integer_box,
+    box_blocks,
     enumerate_shells,
     lattice_from_basis,
     lattice_preset,
@@ -75,24 +77,45 @@ def test_shells_z1_exclude_origin():
     assert [int(k) for k in shells.integer_coords[1:, 0]] == [-1, 1, -2, 2, -3, 3]
 
 
+def _stacked_blocks(lat, which, radius):
+    return [np.stack([c.reshape(-1) for c in block], axis=1)
+            for block in box_blocks(lat, which, radius)]
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 @pytest.mark.parametrize("which", ["direct", "dual"])
 def test_box_vectors_cover_the_shells(name, which):
-    # the unordered box holds every vector of the ball, each exactly once
+    # the blocks together hold every vector of the ball, each exactly once,
+    # and their sizes add up to the size of the integer box
     lat = lattice_preset(name)
     for radius in (0.0, 0.9, 2.5, 4.0):
-        box = np.stack([c.reshape(-1) for c in box_vectors(lat, which, radius)],
-                       axis=1)
+        box = np.concatenate(_stacked_blocks(lat, which, radius))
+        _, bound = _integer_box(lat, which, radius)
+        assert box.shape[0] == np.prod(2 * bound + 1)
         shells = enumerate_shells(lat, which, radius)
-        assert box.shape[0] >= len(shells)
         for v in shells.vectors:
             dist = np.max(np.abs(box - v), axis=1)
             assert np.count_nonzero(dist <= 1e-12) == 1, (radius, v)
 
 
+@pytest.mark.parametrize("name", ["Z1", "hex", "fcc-like"])
+def test_box_blocks_below_one_slab(name, monkeypatch):
+    # blocks smaller than a slab (d >= 2) split it further and still cover
+    # the box once, each within the limit
+    lat = lattice_preset(name)
+    full = np.concatenate(_stacked_blocks(lat, "direct", 2.5))
+    monkeypatch.setattr(lattice_module, "_BOX_BLOCK", 7)
+    blocks = _stacked_blocks(lat, "direct", 2.5)
+    assert max(b.shape[0] for b in blocks) <= 7
+    small = np.concatenate(blocks)
+    assert small.shape == full.shape
+    for v in full:
+        assert np.count_nonzero(np.max(np.abs(small - v), axis=1) <= 1e-12) == 1
+
+
 def test_box_vectors_guard():
     with pytest.raises(ValueError, match="2e7"):
-        box_vectors(lattice_preset("Z3"), "direct", 200.0)
+        box_blocks(lattice_preset("Z3"), "direct", 200.0)
 
 
 def test_hex_dual_count_matches_integer_box_scan():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from perisum import lattice as lattice_module
 from perisum import specfun as sf
 from perisum import validate as vd
 from perisum.lattice import lattice_preset
@@ -124,6 +125,40 @@ def test_brute_force_guard():
         vd.brute_force_epstein_hurwitz(z2, np.array([0.3, 0.3]), 3.0)
     with pytest.raises(ValueError):
         vd.brute_force_epstein_hurwitz(z2, np.array([0.3, 0.3]), 1.5)
+
+
+@pytest.mark.parametrize("name,s,tail", [("Z1", 7.0, 1e-11), ("Z2", 8.0, 1e-11),
+                                         ("hex", 6.5, 1e-6), ("fcc-like", 11.0, 1e-6)])
+def test_box_block_size_moves_only_rounding(name, s, tail, monkeypatch):
+    # the oracles' sums depend on the block size only through the order of
+    # summation
+    lat = lattice_preset(name)
+    q = lat.to_cartesian(np.full(lat.dimension, 0.31))
+    omega = 1.3
+    bf = vd.brute_force_epstein_hurwitz(lat, q, s, tail)
+    po = vd.check_poisson(lat, q, omega)
+    monkeypatch.setattr(lattice_module, "_BOX_BLOCK", 7)
+    bf7 = vd.brute_force_epstein_hurwitz(lat, q, s, tail)
+    assert bf7 == pytest.approx(bf, rel=1e-14)
+    po7 = vd.check_poisson(lat, q, omega)
+    assert po7.lhs == pytest.approx(po.lhs, rel=1e-14)
+    assert po7.rhs == pytest.approx(po.rhs, rel=1e-14)
+
+
+def test_brute_force_memory_bounded():
+    # the Z3 s = 9.5 box has 139^3 points; walked in blocks, the sum holds
+    # only a few block-sized arrays at a time
+    import tracemalloc
+
+    z3 = lattice_preset("Z3")
+    q = z3.to_cartesian(np.array([0.3, 0.6, 0.45]))
+    tracemalloc.start()
+    try:
+        vd.brute_force_epstein_hurwitz(z3, q, 9.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_check_result_pass_rule():
