@@ -236,30 +236,32 @@ def box_blocks(lat, which, radius):
     if np.prod(2.0 * bound + 1.0) > 2e7:
         raise ValueError(f"the integer box for radius {radius:.3g} has more "
                          "than 2e7 points")
-    return _box_walk(basis, [np.arange(-b, b + 1, dtype=float) for b in bound])
+    return _box_walk(basis, bound)
 
 
-def _box_walk(basis, axes):
-    """Blocks of box_blocks over the integer box axes[0] x ... x axes[-1].
+def _box_walk(basis, bound):
+    """Blocks of box_blocks over the integer box |k_i| <= bound[i].
 
-    The box is split along its first axis j whose trailing box, axes[j+1:],
-    fits in a block: for every point of the leading axes[:j] (just one, the
+    The box is split along its first axis j whose trailing box, axes j+1..,
+    fits in a block: for every point of the leading axes (just one, the
     empty one, unless the box is very lopsided), runs of consecutive
-    coordinates of axis j are added to the trailing part of B k, built once
-    from np.ix_ open grids.  In d = 1 the blocks are chunks of the axis.
+    coordinates k_j are added to the trailing part of B k, built once from
+    np.ix_ open grids.  In d = 1 the blocks are chunks of the axis.  Only
+    the trailing part and the current block are built, never a whole axis.
     """
-    d = len(axes)
-    sizes = [len(a) for a in axes]
+    d = len(bound)
+    sizes = 2 * bound + 1
     j = next(j for j in range(d) if math.prod(sizes[j + 1:]) <= _BOX_BLOCK)
     step = _BOX_BLOCK // math.prod(sizes[j + 1:])
-    grids = np.ix_(*axes[j + 1:])
+    grids = np.ix_(*[np.arange(-b, b + 1, dtype=float) for b in bound[j + 1:]])
     trailing = [sum(b * g for b, g in zip(row[j + 1:], grids)) for row in basis]
     run_shape = (-1,) + (1,) * (d - j - 1)
-    for lead in itertools.product(*axes[:j]):
-        offset = basis[:, :j] @ np.array(lead)
+    for lead in itertools.product(*[range(-b, b + 1) for b in bound[:j]]):
+        offset = basis[:, :j] @ np.array(lead, dtype=float)
         part = [t + o for t, o in zip(trailing, offset)] if j else trailing
-        for lo in range(0, sizes[j], step):
-            run = axes[j][lo:lo + step].reshape(run_shape)
+        for lo in range(-bound[j], bound[j] + 1, step):
+            hi = min(lo + step, bound[j] + 1)
+            run = np.arange(lo, hi, dtype=float).reshape(run_shape)
             yield [row[j] * run + t for row, t in zip(basis, part)]
 
 

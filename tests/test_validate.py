@@ -145,20 +145,21 @@ def test_box_block_size_moves_only_rounding(name, s, tail, monkeypatch):
     assert po7.rhs == pytest.approx(po.rhs, rel=1e-14)
 
 
-def test_brute_force_memory_bounded():
-    # the Z3 s = 9.5 box has 139^3 points; walked in blocks, the sum holds
-    # only a few block-sized arrays at a time
+@pytest.mark.parametrize("name,s", [("Z3", 9.5), ("Z1", 3.0)])
+def test_brute_force_memory_bounded(name, s):
+    # the boxes have 139^3 and 1.26e6 points (21 and 10 MiB per coordinate
+    # array); walked in blocks, the sum holds a few 1 MiB arrays at a time
     import tracemalloc
 
-    z3 = lattice_preset("Z3")
-    q = z3.to_cartesian(np.array([0.3, 0.6, 0.45]))
+    lat = lattice_preset(name)
+    q = lat.to_cartesian(np.full(lat.dimension, 0.45))
     tracemalloc.start()
     try:
-        vd.brute_force_epstein_hurwitz(z3, q, 9.5)
+        vd.brute_force_epstein_hurwitz(lat, q, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_check_result_pass_rule():
