@@ -100,8 +100,8 @@ def test_box_vectors_cover_the_shells(name, which):
 
 @pytest.mark.parametrize("name", ["Z1", "hex", "fcc-like"])
 def test_box_blocks_below_one_slab(name, monkeypatch):
-    # blocks smaller than a slab (d >= 2) split it further and still cover
-    # the box once, each within the limit
+    # blocks smaller than the axis (d = 1) or than a slab (d >= 2, which is
+    # then split further) still cover the box once, each within the limit
     lat = lattice_preset(name)
     full = np.concatenate(_stacked_blocks(lat, "direct", 2.5))
     monkeypatch.setattr(lattice_module, "_BOX_BLOCK", 7)
