@@ -6,7 +6,8 @@ default (--cartesian on kernel-eval and energy converts through the basis).
 Output is JSON (growth can also write its table as CSV) with 17 significant
 digits so files round-trip losslessly; identical arguments and seed
 reproduce bitwise identical files.  Exit codes: 0 success, 1 failed
-validation or input outside its domain, 2 usage error.
+validation or input outside its domain, 2 usage error (a malformed
+input file included).
 
 Environment: PERISUM_TOL overrides the default tolerance when --tol is not
 given.
@@ -29,7 +30,7 @@ from . import kernel as kn
 from . import specfun as sf
 from . import validate as vd
 from .errors import PerisumError, UsageError
-from .lattice import Lattice, PRESETS, lattice_preset
+from .lattice import Lattice, PRESETS, lattice_from_basis, lattice_preset
 
 _DEFAULT_TOL = 1e-10
 
@@ -64,19 +65,29 @@ def _write_output(payload, path, fmt="json", csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
+def _read_json(path, flag):
+    """The JSON value in the file a flag names; a missing, unreadable or
+    malformed file is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"{flag}: file {path!r} not found")
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{flag}: {path!r} is not a readable JSON file: {exc}")
+
+
 def _load_lattice(spec):
     if spec in PRESETS:
         return lattice_preset(spec)
-    if not os.path.exists(spec):
-        raise UsageError(f"--lattice: {spec!r} is neither a preset "
-                         f"({sorted(PRESETS)}) nor an existing file")
-    with open(spec) as fh:
-        obj = json.load(fh)
-    if "basis" in obj and "dim" in obj:
-        return Lattice.from_json_dict(obj)
-    # plain nested-list basis file
-    from .lattice import lattice_from_basis
-    return lattice_from_basis(obj)
+    obj = _read_json(spec, f"--lattice (presets: {', '.join(sorted(PRESETS))})")
+    try:
+        if "basis" in obj and "dim" in obj:
+            return Lattice.from_json_dict(obj)
+        # plain nested-list basis file
+        return lattice_from_basis(obj)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--lattice: {spec!r} holds no lattice basis: {exc}")
 
 
 def _parse_point(text, dim):
@@ -218,10 +229,14 @@ def _cmd_energy(args):
     lat = _load_lattice(args.lattice)
     pot = _parse_potential_arg(args.potential)
     tol = _tol_from(args)
-    if not os.path.exists(args.points):
-        raise UsageError(f"points file {args.points!r} not found")
-    with open(args.points) as fh:
-        pts = np.asarray(json.load(fh), dtype=float)
+    try:
+        pts = np.asarray(_read_json(args.points, "--points"), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--points: {args.points!r} holds no array of "
+                         f"numbers: {exc}")
+    if pts.ndim not in (1, 2):
+        raise UsageError(f"--points: {args.points!r} holds a {pts.ndim}-d "
+                         "array, not an N x D one")
     if pts.ndim == 1:
         pts = pts[:, None]
     if args.cartesian:
@@ -341,11 +356,9 @@ def _expand_config(argv):
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise UsageError("--config requires a file path")
-    path = argv[i + 1]
-    if not os.path.exists(path):
-        raise UsageError(f"config file {path!r} not found")
-    with open(path) as fh:
-        conf = json.load(fh)
+    conf = _read_json(argv[i + 1], "--config")
+    if not isinstance(conf, dict):
+        raise UsageError("--config: the file must hold a JSON object of flags")
     flags = []
     for key, value in conf.items():
         name = "--" + str(key).replace("_", "-")

@@ -153,7 +153,7 @@ def total_energy(cfg, pot, plan, with_gradient=False):
         return EnergyReport(0.0, grad, [], plan, 0.0)
     bound = n * (n - 1) * plan.guaranteed_abs_err
     j, k, Q = _pair_differences(cfg)
-    direct, grads, degen = kn._direct_sums(pot, plan, Q, with_gradient)
+    direct, grads, degen = kn._direct_sums(plan, Q, with_gradient)
     degenerate_pairs = [(int(a), int(b)) for a, b in zip(j[degen], k[degen])]
     if pot.singular and degen.any():
         return EnergyReport(math.inf, None, degenerate_pairs, plan, bound)
@@ -273,6 +273,8 @@ def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
         raise InvalidN("minimize needs at least two points")
     if restarts < 1:
         raise InvalidParameter(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
     lat, pot = plan.lattice, plan.potential
     d = lat.dimension
     if tol_grad is None:

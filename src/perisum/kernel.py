@@ -91,7 +91,7 @@ __all__ = [
     "evaluate_batch",
     "kernel_value",
     "coulomb_kernel",
-    "gaussian_kernel",
+    "shift_constant",
     "epstein_hurwitz_zeta",
     "epstein_zeta",
     "convergence_factor_oracle",
@@ -462,10 +462,10 @@ class EwaldPlan:
     tol: float
     direct_tail_bound: float
     dual_tail_bound: float
-    direct_vectors: np.ndarray = field(repr=False, default=None)
-    dual_vectors_half: np.ndarray = field(repr=False, default=None)
-    dual_norms_half: np.ndarray = field(repr=False, default=None)
-    dual_coeffs_half: np.ndarray = field(repr=False, default=None)
+    direct_vectors: np.ndarray = field(repr=False)
+    dual_vectors_half: np.ndarray = field(repr=False)
+    dual_norms_half: np.ndarray = field(repr=False)
+    dual_coeffs_half: np.ndarray = field(repr=False)
 
     @property
     def guaranteed_abs_err(self):
@@ -710,9 +710,10 @@ def _check_plan(lat, pot, plan):
         raise PlanMismatch("plan built for a different lattice")
 
 
-def _direct_sums(pot, plan, Q, want_grad=False, abs_sums=None):
-    """Direct-space sums at the rows of Q, shape (n, d), in blocks of at most
-    _BLOCK_PAIR_IMAGES (row, image) pairs: (values, grads, degenerate).
+def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
+    """Direct-space sums of the plan's potential at the rows of Q, shape
+    (n, d), in blocks of at most _BLOCK_PAIR_IMAGES (row, image) pairs:
+    (values, grads, degenerate).
 
     values and grads hold each row's sum over the plan's direct images of
     the terms and of their gradients; degenerate marks rows lying on the
@@ -720,6 +721,7 @@ def _direct_sums(pot, plan, Q, want_grad=False, abs_sums=None):
     if given, receives each row's sum of |terms|.
     """
     n, d = Q.shape
+    pot = plan.potential
     terms = pot.direct_terms(plan.eta, want_grad)
     # component-major (d, rows, images) differences keep every inner loop
     # over the long image axis
@@ -769,7 +771,7 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     if d != lat.dimension:
         raise DimensionMismatch("difference vectors have wrong dimension")
     eta = plan.eta
-    values, grads, degenerate = _direct_sums(pot, plan, Q, want_grad, abs_sums)
+    values, grads, degenerate = _direct_sums(plan, Q, want_grad, abs_sums)
 
     W = plan.dual_vectors_half
     if W.shape[0]:
@@ -857,36 +859,12 @@ def kernel_value(plan, x, y):
     )
 
 
-def gaussian_kernel(lat, x, y, c, r_cut):
-    """Periodic Gaussian kernel: direct sum over |v| <= r_cut (+ cell
-    margin), minus (pi/c)^(d/2) when c < 1 (the lattice-average constant);
-    no constant when c >= 1.  Always finite.  abs_err_bound is the
-    planner's closed-form tail bound at r_cut plus the rounding term
-    kernel_value adds, rel_accuracy times the sum of |terms|."""
-    pot = Gaussian(c)
-    d = lat.dimension
-    margin = lat.half_cell_diameter
-    shells = enumerate_shells(lat, "direct", r_cut + margin)
-    q = min_image_difference(lat, x, y)
-    r2 = np.sum((q[None, :] + shells.vectors) ** 2, axis=1)
-    direct = float(np.exp(-c * r2).sum())
-    const = pot.eta_constant(1.0, d)
-    tail = _tail_bound(pot.direct_majorant(1.0, r_cut), r_cut, margin, d)
-    return KernelValue(
-        value=direct + const,
-        abs_err_bound=tail + pot.rel_accuracy * (direct + abs(const)),
-        terms_direct=len(shells),
-        terms_dual=0,
-    )
-
-
 def coulomb_kernel(lat, x, y, plan):
     """Three-dimensional Coulomb kernel in its classical erfc/Gaussian Ewald
     form; agrees with the s = 1 Riesz kernel."""
     if lat.dimension != 3:
         raise DimensionMismatch("Coulomb kernel is specific to d = 3")
-    if plan.potential != Riesz(1.0):
-        raise PlanMismatch("Coulomb kernel expects a plan for Riesz(1)")
+    _check_plan(lat, Riesz(1.0), plan)
     q = min_image_difference(lat, x, y)
     R = q[None, :] + plan.direct_vectors
     r = np.linalg.norm(R, axis=1)
@@ -909,15 +887,17 @@ def coulomb_kernel(lat, x, y, plan):
 # ---------------------------------------------------------------------------
 
 
-def _shift_constant(s, d):
-    """2 pi^(d/2) / (Gamma(s/2) (d - s)): the offset between the Riesz
-    kernel and the continued Epstein-Hurwitz zeta."""
-    return 2.0 * math.pi ** (d / 2.0) / (math.gamma(s / 2.0) * (d - s))
+def shift_constant(s, d):
+    """2 pi^(d/2) / (Gamma(s/2) (s - d)): the configuration-independent
+    offset from the Riesz kernel to the continued Epstein-Hurwitz zeta, and
+    so, for s > d, from the kernel to the convergent direct sum."""
+    return 2.0 * math.pi ** (d / 2.0) / (math.gamma(s / 2.0) * (s - d))
 
 
-def epstein_hurwitz_zeta(lat, q, s, tol=1e-12, eta=1.0, plan=None):
+def epstein_hurwitz_zeta(lat, q, s, tol=1e-12):
     """Analytic continuation of sum_v |q + v|^-s to all s in (0, inf)
-    except the pole at s = d, for q not on the lattice."""
+    except the pole at s = d, for q not on the lattice: the Riesz kernel,
+    split at eta = 1, plus shift_constant(s, d)."""
     d = lat.dimension
     if abs(s - d) < 1e-10:
         raise PolePoint("Epstein-Hurwitz zeta has its pole at s = d")
@@ -925,10 +905,9 @@ def epstein_hurwitz_zeta(lat, q, s, tol=1e-12, eta=1.0, plan=None):
     qm = min_image_difference(lat, q, np.zeros(d))
     if np.linalg.norm(qm) < 1e-12:
         raise LatticePoint("q reduces into the lattice")
-    if plan is None:
-        plan = plan_ewald(lat, Riesz(s), tol, eta)
+    plan = plan_ewald(lat, Riesz(s), tol, 1.0)
     vals, _, _ = evaluate_batch(lat, Riesz(s), plan, qm[None, :])
-    return float(vals[0]) - _shift_constant(s, d)
+    return float(vals[0]) + shift_constant(s, d)
 
 
 def epstein_zeta(lat, s, tol=1e-12):
@@ -944,7 +923,7 @@ def epstein_zeta(lat, s, tol=1e-12):
     direct = float(t.sum())
     dual = 2.0 * float(plan.dual_coeffs_half.sum())
     return (direct + dual - 1.0 / math.gamma(s / 2.0 + 1.0)
-            - _shift_constant(s, d))
+            + shift_constant(s, d))
 
 
 def convergence_factor_oracle(lat, q, s, a_sequence):

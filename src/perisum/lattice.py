@@ -186,7 +186,7 @@ class ShellIterator:
 
     The ordering is a fixed total order, so the enumeration for a smaller
     radius is always a prefix of the enumeration for a larger one.  It serves
-    the Ewald plan and gaussian_kernel; order-free sums walk box_blocks.
+    the Ewald plan; order-free sums walk box_blocks.
     """
 
     def __init__(self, lattice, which, max_radius):

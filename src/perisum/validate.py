@@ -11,13 +11,15 @@ observation (both values shown), not as a proved statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import energy as en
 from . import kernel as kn
 from . import specfun as sf
+from .errors import InvalidParameter
+from .kernel import shift_constant
 from .lattice import box_blocks, lattice_preset
 
 __all__ = [
@@ -52,16 +54,7 @@ class CheckResult:
     note: str = ""
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def _make_check(name, lhs, rhs, tolerance, note=""):
@@ -210,12 +203,6 @@ def check_poisson(lat, x, omega):
     return _make_check(
         f"poisson(d={d},omega={omega:.3g})", lhs, rhs, 1e-12,
         note=f"x={np.array2string(x, precision=4)}")
-
-
-def shift_constant(s, d):
-    """2 pi^(d/2) / (Gamma(s/2)(s-d)): the configuration-independent offset
-    between the convergent direct sum (s > d) and the renormalized kernel."""
-    return 2.0 * math.pi ** (d / 2.0) / (math.gamma(s / 2.0) * (s - d))
 
 
 def brute_force_epstein_hurwitz(lat, q, s, tail_target=1e-11):
@@ -369,6 +356,8 @@ SUITES = {
 
 def run_suite(name="all", seed=0):
     """Run one named suite ('1d', 'poisson', 'shift') or 'all'."""
+    if seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if name == "all":
         out = []

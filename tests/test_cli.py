@@ -270,17 +270,20 @@ def test_minimize_payload_matches_stored_output(tmp_path):
 
 
 def test_kernel_eval_gaussian_through_plan(tmp_path):
-    # kernel-eval evaluates the Gaussian through its plan; the value agrees
-    # with the standalone gaussian_kernel, whose tail estimate and shells
-    # are the plan's own, and the plan records the requested eta, which the
-    # Gaussian does not read
+    # kernel-eval evaluates the Gaussian through its plan; the value agrees,
+    # within its own bound, with the direct side of check_poisson, a box
+    # walk that shares no shells, tail bound or family code with the plan,
+    # less the lattice-average constant (pi/c)^(d/2) that applies for c < 1;
+    # the plan records the requested eta, which the Gaussian does not read
     out = tmp_path / "kv.json"
     rng = np.random.default_rng(11)
     for name in ("Z1", "Z2", "Z3", "hex", "fcc-like"):
         lat = lattice_preset(name)
+        d = lat.dimension
         for c, tol in ((0.5, 1e-12), (2.0, 1e-10)):
+            const = (math.pi / c) ** (d / 2.0) if c < 1.0 else 0.0
             for _ in range(3):
-                x, y = rng.random(lat.dimension), rng.random(lat.dimension)
+                x, y = rng.random(d), rng.random(d)
                 assert run_cli([
                     "kernel-eval", "--lattice", name,
                     "--potential", f"gaussian:{c:g}",
@@ -288,14 +291,10 @@ def test_kernel_eval_gaussian_through_plan(tmp_path):
                     "--y", ",".join(repr(float(v)) for v in y),
                     "--tol", repr(tol), "--eta", "4", "--out", str(out)]) == 0
                 payload = json.loads(out.read_text())
-                plan = kn.plan_ewald(lat, kn.Gaussian(c), tol)
-                kv = kn.gaussian_kernel(lat, lat.to_cartesian(x),
-                                        lat.to_cartesian(y), c, plan.r_cut)
-                assert abs(payload["value"] - kv.value) <= 1e-13 * (
-                    1.0 + abs(kv.value))
-                assert payload["abs_err_bound"] == kv.abs_err_bound
-                assert payload["terms_direct"] == kv.terms_direct
-                assert payload["terms_dual"] == kv.terms_dual == 0
+                ref = vd.check_poisson(lat, lat.to_cartesian(x - y), c).lhs - const
+                assert abs(payload["value"] - ref) <= payload["abs_err_bound"]
+                assert payload["terms_direct"] == payload["plan"]["terms_direct"]
+                assert payload["terms_dual"] == 0
                 assert payload["plan"]["eta"] == 4.0
 
 
@@ -396,11 +395,17 @@ def _assert_one_error_line(capsys):
     ["specfun-eval", "--fn", "exp_integral_e1", "--args=0"],
     ["specfun-eval", "--fn", "hurwitz_zeta", "--args=2,-1"],
     ["specfun-eval", "--fn", "gamma_upper", "--args=1,-1"],
+    ["minimize", "--lattice", "Z1", "--potential", "riesz:2", "--N", "4",
+     "--seed=-1"],
+    ["growth", "--lattice", "Z1", "--potential", "riesz:2", "--N", "4,8",
+     "--seed=-1"],
+    ["validate", "--suite", "shift", "--seed=-1"],
 ], ids=["minimize-restarts-0", "growth-restarts-0", "tol-0", "tol-nan",
         "eta-negative", "tol-below-rounding-floor", "nan-point",
         "growth-decreasing-N",
         "digamma-negative", "e1-zero", "hurwitz-negative-q",
-        "gamma-upper-negative-x"])
+        "gamma-upper-negative-x", "minimize-seed-negative",
+        "growth-seed-negative", "validate-seed-negative"])
 def test_out_of_domain_input_exits_1(argv, capsys):
     assert run_cli(argv) == 1
     _assert_one_error_line(capsys)
@@ -413,6 +418,30 @@ def test_energy_bad_points_exit_1(points, tmp_path, capsys):
     path.write_text(json.dumps(points))
     assert run_cli(["energy", "--potential", "riesz:1",
                     "--points", str(path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--lattice", "not json"),
+    ("--points", "not json"),
+    ("--config", "not json"),
+    ("--lattice", "[[1.0, 0.0], [0.0]]"),
+    ("--points", "[[0.1], [0.2, 0.3]]"),
+    ("--lattice", '{"dim": 2, "basis": [2.0, 0.0, 0.0, 2.0]}'),
+    ("--points", "0.5"),
+    ("--config", '["--tol", "1e-8"]'),
+], ids=["lattice-not-json", "points-not-json", "config-not-json",
+        "ragged-basis", "ragged-points", "serialized-lattice-det-4",
+        "scalar-points", "config-not-an-object"])
+def test_malformed_input_file_exits_2(flag, text, tmp_path, capsys):
+    # a well-formed energy call with one file replaced by a bad one (a
+    # repeated --points takes the last value)
+    points = tmp_path / "points.json"
+    points.write_text("[[0.1], [0.6]]")
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli(["energy", "--potential", "riesz:1", "--points",
+                    str(points), flag, str(bad)]) == 2
     _assert_one_error_line(capsys)
 
 

@@ -104,6 +104,10 @@ def test_plan_mismatch_raised():
         kn.evaluate_batch(Z1, kn.Riesz(3.0), plan, q)
     with pytest.raises(PlanMismatch):
         kn.evaluate_batch(Z1, kn.Log(), plan, q)
+    # the Coulomb form refuses a Riesz(1) plan built on another lattice
+    fcc_plan = kn.plan_ewald(lattice_preset("fcc-like"), kn.Riesz(1.0), 1e-10)
+    with pytest.raises(PlanMismatch):
+        kn.coulomb_kernel(Z3, np.full(3, 0.3), np.zeros(3), fcc_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +218,11 @@ def test_epstein_hurwitz_mean_zero():
     # integral of the continued zeta over the cell vanishes for 0 < s < d;
     # 64-point Gauss-Legendre after subtracting the edge singularities
     s = 0.5
-    plan = kn.plan_ewald(Z1, kn.Riesz(s), 1e-13)
     nodes, weights = np.polynomial.legendre.leggauss(64)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     vals = np.array([
-        kn.epstein_hurwitz_zeta(Z1, np.array([q]), s, plan=plan)
+        kn.epstein_hurwitz_zeta(Z1, np.array([q]), s, tol=1e-13)
         - q ** (-s) - (1.0 - q) ** (-s)
         for q in t
     ])
@@ -342,10 +345,15 @@ def test_log_kernel_eta_invariance():
 # ---------------------------------------------------------------------------
 
 
+def _gaussian(lat, q, c, tol):
+    plan = kn.plan_ewald(lat, kn.Gaussian(c), tol)
+    return kn.kernel_value(plan, q, np.zeros(lat.dimension))
+
+
 def test_gaussian_theta_identity():
     # direct sum at the origin equals the dual-side Poisson sum
     c = math.pi
-    kv = kn.gaussian_kernel(Z1, np.zeros(1), np.zeros(1), c, r_cut=8.0)
+    kv = _gaussian(Z1, np.zeros(1), c, 1e-14)
     n = np.arange(-10, 11, dtype=float)
     direct = float(np.exp(-c * n * n).sum())
     dual = (math.pi / c) ** 0.5 * float(np.exp(-math.pi**2 * n * n / c).sum())
@@ -354,7 +362,7 @@ def test_gaussian_theta_identity():
 
 
 def test_gaussian_large_c_single_term():
-    kv = kn.gaussian_kernel(Z1, np.zeros(1), np.zeros(1), 500.0, r_cut=6.0)
+    kv = _gaussian(Z1, np.zeros(1), 500.0, 1e-12)
     assert kv.value == pytest.approx(1.0, abs=1e-12)
     assert kv.value >= 1.0
 
@@ -364,7 +372,7 @@ def test_gaussian_small_c_constant_branch():
     # Poisson sum without its zero mode
     c = 0.4
     q = np.array([0.3])
-    kv = kn.gaussian_kernel(Z1, q, np.zeros(1), c, r_cut=12.0)
+    kv = _gaussian(Z1, q, c, 1e-13)
     w = np.arange(1, 12, dtype=float)
     dual = (math.pi / c) ** 0.5 * 2.0 * float(
         np.sum(np.cos(2 * math.pi * w * 0.3) * np.exp(-math.pi**2 * w * w / c)))
