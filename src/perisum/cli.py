@@ -3,14 +3,11 @@
 Subcommands: kernel-eval, energy, minimize, growth, validate, specfun-eval;
 each takes only the flags it reads.  Points are fractional coordinates by
 default (--cartesian on kernel-eval and energy converts through the basis).
-Output is JSON (growth can also write its table as CSV) with 17 significant
-digits so files round-trip losslessly; identical arguments and seed
-reproduce bitwise identical files.  Exit codes: 0 success, 1 failed
-validation or input outside its domain, 2 usage error (a malformed
-input file included).
-
-Environment: PERISUM_TOL overrides the default tolerance when --tol is not
-given.
+Output is JSON, whose floats are written in their shortest round-trip
+form; growth can also write its table as CSV, with 17 significant digits.
+Files round-trip losslessly, and identical arguments and seed reproduce
+bitwise identical files.  Exit codes: 0 success, 1 failed validation or
+input outside its domain, 2 usage error (a malformed input file included).
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,12 +29,6 @@ from .errors import PerisumError, UsageError
 from .lattice import Lattice, PRESETS, lattice_from_basis, lattice_preset
 
 _DEFAULT_TOL = 1e-10
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    return x
 
 
 def _json_default(obj):
@@ -111,18 +101,6 @@ def _parse_potential_arg(text):
         raise UsageError(str(exc))
 
 
-def _tol_from(args):
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("PERISUM_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise UsageError(f"PERISUM_TOL={env!r} is not a number")
-    return _DEFAULT_TOL
-
-
 def _provenance(plan=None):
     out = {"version": __version__}
     if plan is not None:
@@ -145,7 +123,7 @@ def build_parser():
                         help="preset name or JSON basis file")
         sp.add_argument("--potential", required=True,
                         help="riesz:S | logriesz:S | log | gaussian:C")
-        sp.add_argument("--tol", type=float, default=None,
+        sp.add_argument("--tol", type=float, default=_DEFAULT_TOL,
                         help="Ewald truncation tolerance")
         sp.add_argument("--out", default=None, help="output file path")
         if points:  # the commands that take points also take the split
@@ -205,17 +183,16 @@ def build_parser():
 def _cmd_kernel_eval(args):
     lat = _load_lattice(args.lattice)
     pot = _parse_potential_arg(args.potential)
-    tol = _tol_from(args)
     x = _parse_point(args.x, lat.dimension)
     y = _parse_point(args.y, lat.dimension)
     if not args.cartesian:
         x = lat.to_cartesian(x)
         y = lat.to_cartesian(y)
-    plan = kn.plan_ewald(lat, pot, tol, eta=args.eta)
+    plan = kn.plan_ewald(lat, pot, args.tol, eta=args.eta)
     kv = kn.kernel_value(plan, x, y)
     payload = {
-        "value": _fmt(kv.value) if math.isfinite(kv.value) else "inf",
-        "abs_err_bound": _fmt(kv.abs_err_bound),
+        "value": kv.value if math.isfinite(kv.value) else "inf",
+        "abs_err_bound": kv.abs_err_bound,
         "terms_direct": kv.terms_direct,
         "terms_dual": kv.terms_dual,
         "lattice": lat.to_json_dict(),
@@ -228,7 +205,6 @@ def _cmd_kernel_eval(args):
 def _cmd_energy(args):
     lat = _load_lattice(args.lattice)
     pot = _parse_potential_arg(args.potential)
-    tol = _tol_from(args)
     try:
         pts = np.asarray(_read_json(args.points, "--points"), dtype=float)
     except (TypeError, ValueError) as exc:
@@ -242,11 +218,11 @@ def _cmd_energy(args):
     if args.cartesian:
         pts = lat.to_fractional(pts)
     cfg = en.Configuration(lat, pts)
-    plan = kn.plan_ewald(lat, pot, tol, eta=args.eta)
+    plan = kn.plan_ewald(lat, pot, args.tol, eta=args.eta)
     rep = en.total_energy(cfg, pot, plan, with_gradient=args.gradient)
     payload = {
-        "energy": _fmt(rep.energy) if math.isfinite(rep.energy) else "inf",
-        "abs_err_bound": _fmt(rep.abs_err_bound),
+        "energy": rep.energy if math.isfinite(rep.energy) else "inf",
+        "abs_err_bound": rep.abs_err_bound,
         "n_points": cfg.n_points,
         "degenerate_pairs": rep.degenerate_pairs,
         "gradient": rep.gradient,
@@ -260,16 +236,15 @@ def _cmd_energy(args):
 def _cmd_minimize(args):
     lat = _load_lattice(args.lattice)
     pot = _parse_potential_arg(args.potential)
-    tol = _tol_from(args)
     res = en.minimize(lat, pot, args.N, restarts=args.restarts,
                       max_iters=args.max_iters, seed=args.seed,
-                      tol_grad=args.tol_grad, tol=tol)
+                      tol_grad=args.tol_grad, tol=args.tol)
     payload = {
-        "best_energy": _fmt(res.best_energy),
+        "best_energy": res.best_energy,
         "points": res.best_config.points,
         "converged": res.converged,
         "restarts_used": res.restarts_used,
-        "restart_energies": [_fmt(e) for e in res.restart_energies],
+        "restart_energies": res.restart_energies,
         "seed": args.seed,
         "lattice": lat.to_json_dict(),
         **_provenance(res.plan),
@@ -285,16 +260,15 @@ def _cmd_growth(args):
         n_list = [int(v) for v in args.N.split(",")]
     except ValueError:
         raise UsageError(f"--N expects comma-separated integers, got {args.N!r}")
-    tol = _tol_from(args)
     rows = en.growth_diagnostic(lat, pot, n_list, restarts=args.restarts,
                                 max_iters=args.max_iters, seed=args.seed,
-                                tol=tol)
+                                tol=args.tol)
     header = ["N", "E", "E_per_N2", "E_per_N_power", "E_per_N2_logN"]
     table = [(r.n, r.energy, r.per_n2, r.per_n_power, r.per_n2_log)
              for r in rows]
     payload = {
         "columns": header,
-        "rows": [[_fmt(v) for v in row] for row in table],
+        "rows": table,
         "lattice": lat.to_json_dict(),
         **_provenance(rows[-1].plan),
     }
@@ -328,7 +302,7 @@ def _cmd_specfun_eval(args):
         val = fn(*arglist)
     except TypeError as exc:
         raise UsageError(f"bad arguments for {args.fn}: {exc}")
-    payload = {"fn": args.fn, "args": arglist, "value": _fmt(float(val)),
+    payload = {"fn": args.fn, "args": arglist, "value": float(val),
                **_provenance()}
     _write_output(payload, args.out)
     return 0

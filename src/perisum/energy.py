@@ -47,8 +47,9 @@ class Configuration:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] < 1:
             raise InvalidN("configuration needs at least one point")
-        if pts.shape[1] != self.lattice.dimension:
-            raise InvalidParameter("points have wrong dimension for the lattice")
+        if pts.ndim > 2 or pts.shape[1] != self.lattice.dimension:
+            raise InvalidParameter("points must be an N x d array for the "
+                                   "lattice's dimension d")
         if not np.all(np.isfinite(pts)):
             raise InvalidParameter("points must be finite")
         self.points = self.lattice.reduce_frac(pts)

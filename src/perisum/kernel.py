@@ -38,13 +38,16 @@ accumulates in the same pass.
 
 Each potential family (Riesz, LogRiesz, Log, Gaussian) is one frozen
 dataclass that owns its split: label (its parse_potential string),
-singular, direct_terms(eta, want_grad), dual_coeffs(eta, d) (None for the
-Gaussian), eta_constant(eta, d), and the majorants the planner bounds its
-tails with, direct_majorant(eta, r0) and dual_majorant(eta, d, k0).  The
-term formulas are built once per (potential, eta, d) and take an array or
-one float; with want_grad, direct_terms also returns the radial factor
-g'(r)/r, each term's gradient being radial * (q + v).  Powers go through
-np.power, so a float rounds as an array element does.
+singular, split, direct_terms(eta, r, want_grad), eta_constant(eta, d) and
+direct_majorant(eta, r0), the majorant the planner bounds the direct tail
+with.  The three split families (split = True) also have the reciprocal
+side, dual_coeffs(eta, d, k) and dual_majorant(eta, d, k0); the Gaussian
+(split = False) is absolutely summable and has neither.  direct_terms
+returns (terms, radial) at the distances r, with radial, the factor g'(r)/r
+of each term's gradient radial * (q + v), None unless want_grad;
+dual_coeffs returns a(k) at the dual norms k.  Both evaluate their formula
+directly on an array or one float, and powers go through np.power, so a
+float rounds as an array element does.
 
 plan_ewald certifies its cutoffs in closed form.  Each majorant has the
 form A rho^p exp(-alpha rho^2), p <= 0, and bounds |term| beyond the radius
@@ -172,6 +175,7 @@ class Riesz:
 
     s: float
     singular = True
+    split = True
     # relative accuracy of each term (at x <= 40; test_term_accuracy):
     # gammaincc (sigma > 0) and gamma_upper_vec (sigma <= 0) are within
     # 3.6e-14 of mpmath, and the terms were measured within 1.1e-14
@@ -185,25 +189,20 @@ class Riesz:
     def label(self):
         return f"riesz:{_param_text(self.s)}"
 
-    def direct_terms(self, eta, want_grad=False):
+    def direct_terms(self, eta, r, want_grad=False):
         s = self.s
         sig = 0.5 * s
+        r2 = r * r
+        x = eta * r2
+        t = sf.gamma_upper_reg_vec(sig, x) * np.power(r, -s)
+        if not want_grad:
+            return t, None
         # radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
-        c1 = 2.0 * eta**sig / math.gamma(sig)
-
-        def riesz_terms(r):
-            r2 = r * r
-            x = eta * r2
-            t = sf.gamma_upper_reg_vec(sig, x) * np.power(r, -s)
-            if not want_grad:
-                return t, None
-            radial = np.exp(-x)
-            radial *= c1
-            radial += s * t
-            radial /= r2
-            return t, np.negative(radial, out=radial)
-
-        return riesz_terms
+        radial = np.exp(-x)
+        radial *= 2.0 * eta**sig / math.gamma(sig)
+        radial += s * t
+        radial /= r2
+        return t, np.negative(radial, out=radial)
 
     def direct_majorant(self, eta, r0):
         # Gamma(s/2, eta r^2) r^-s / Gamma(s/2) <= c eta^(s/2-1) r^-2 / Gamma(s/2)
@@ -212,17 +211,12 @@ class Riesz:
         c = _gamma_factor(sig, eta * r0 * r0)
         return c * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
 
-    def dual_coeffs(self, eta, d):
+    def dual_coeffs(self, eta, d, k):
         s = self.s
-        sig = (d - s) / 2.0
         pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
-
-        def riesz_coeffs(k):
-            z = math.pi**2 * k * k / eta
-            power = np.power(math.pi * k, s - d)
-            return pref * power * sf.gamma_upper_vec(sig, z)
-
-        return riesz_coeffs
+        z = math.pi**2 * k * k / eta
+        power = np.power(math.pi * k, s - d)
+        return pref * power * sf.gamma_upper_vec((d - s) / 2.0, z)
 
     def dual_majorant(self, eta, d, k0):
         # (pi k)^(s-d) Gamma(sig, z) <= c eta^(1-sig) (pi k)^-2 e^-z with
@@ -245,6 +239,7 @@ class LogRiesz:
 
     s: float
     singular = True
+    split = True
     # relative accuracy of each term (at x <= 40; test_term_accuracy): the
     # (Gamma, d/dsigma Gamma) pair is within 3e-14 of mpmath, and a term, a
     # difference of Riesz-sized parts, was measured within 8.2e-15 of those
@@ -260,36 +255,31 @@ class LogRiesz:
     def label(self):
         return f"logriesz:{_param_text(self.s)}"
 
-    def direct_terms(self, eta, want_grad=False):
+    def direct_terms(self, eta, r, want_grad=False):
         s = self.s
         sig = 0.5 * s
         gs = math.gamma(sig)
         psi = sf.digamma(sig)
+        r2 = r * r
+        x = eta * r2
+        rpow = np.power(r, -s)
+        rpow /= gs
+        # t = Q(s/2, x) r^-s and t2 = d/dsigma Gamma r^-s / Gamma(s/2)
+        # - (2 log r + psi) t, from one (Gamma, d/dsigma Gamma) pass
+        t, t2 = sf.gamma_upper_dsigma_vec(sig, x)
+        t *= rpow
+        t2 *= rpow
+        t2 -= 2.0 * np.log(r) * t
+        t2 -= psi * t
+        if not want_grad:
+            return t2, None
         # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
-        c1 = 2.0 * eta**sig / gs * (math.log(eta) - psi)
-
-        def logriesz_terms(r):
-            r2 = r * r
-            x = eta * r2
-            rpow = np.power(r, -s)
-            rpow /= gs
-            # t = Q(s/2, x) r^-s and t2 = d/dsigma Gamma r^-s / Gamma(s/2)
-            # - (2 log r + psi) t, from one (Gamma, d/dsigma Gamma) pass
-            t, t2 = sf.gamma_upper_dsigma_vec(sig, x)
-            t *= rpow
-            t2 *= rpow
-            t2 -= 2.0 * np.log(r) * t
-            t2 -= psi * t
-            if not want_grad:
-                return t2, None
-            radial = np.exp(-x)
-            radial *= c1
-            radial += 2.0 * t
-            radial += s * t2
-            radial /= r2
-            return t2, np.negative(radial, out=radial)
-
-        return logriesz_terms
+        radial = np.exp(-x)
+        radial *= 2.0 * eta**sig / gs * (math.log(eta) - psi)
+        radial += 2.0 * t
+        radial += s * t2
+        radial /= r2
+        return t2, np.negative(radial, out=radial)
 
     def direct_majorant(self, eta, r0):
         # the term is r^-s / Gamma(s/2) times d/dsigma Gamma - (log x - shift)
@@ -299,21 +289,15 @@ class LogRiesz:
         k = _dsigma_factor(sig, eta * r0 * r0, math.log(eta) - sf.digamma(sig))
         return k * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
 
-    def dual_coeffs(self, eta, d):
+    def dual_coeffs(self, eta, d, k):
         s = self.s
-        sig = (d - s) / 2.0
         pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
-        psi = sf.digamma(s / 2.0)
-
-        def logriesz_coeffs(k):
-            z = math.pi**2 * k * k / eta
-            pk = math.pi * k
-            power = pref * np.power(pk, s - d)
-            g, dg = sf.gamma_upper_dsigma_vec(sig, z)
-            a = power * g
-            return 2.0 * a * np.log(pk) - a * psi - power * dg
-
-        return logriesz_coeffs
+        z = math.pi**2 * k * k / eta
+        pk = math.pi * k
+        power = pref * np.power(pk, s - d)
+        g, dg = sf.gamma_upper_dsigma_vec((d - s) / 2.0, z)
+        a = power * g
+        return 2.0 * a * np.log(pk) - a * sf.digamma(s / 2.0) - power * dg
 
     def dual_majorant(self, eta, d, k0):
         # minus the same bracket at z = (pi k)^2 / eta, with 2 log(pi k) =
@@ -339,32 +323,26 @@ class Log:
     """Potential log(|x|^-2)."""
 
     singular = True
+    split = True
     label = "log"
     # relative accuracy of each term (at x <= 40; test_term_accuracy): E1
     # and Gamma(d/2, .) by gammaincc, measured within 1.1e-14
     rel_accuracy = 4e-14
 
-    def direct_terms(self, eta, want_grad=False):
-        def log_terms(r):
-            r2 = r * r
-            x = eta * r2
-            t = sc.exp1(x)
-            return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
-
-        return log_terms
+    def direct_terms(self, eta, r, want_grad=False):
+        r2 = r * r
+        x = eta * r2
+        t = sc.exp1(x)
+        return t, (-2.0 * np.exp(-x) / r2 if want_grad else None)
 
     def direct_majorant(self, eta, r0):
         # E1(x) <= e^-x / x
         return 1.0 / eta, -2.0, eta
 
-    def dual_coeffs(self, eta, d):
-        pi_d2 = math.pi ** (d / 2.0)
-
-        def log_coeffs(k):
-            z = math.pi**2 * k * k / eta
-            return sf.gamma_upper_vec(d / 2.0, z) / (pi_d2 * np.power(k, d))
-
-        return log_coeffs
+    def dual_coeffs(self, eta, d, k):
+        z = math.pi**2 * k * k / eta
+        return (sf.gamma_upper_vec(d / 2.0, z)
+                / (math.pi ** (d / 2.0) * np.power(k, d)))
 
     def dual_majorant(self, eta, d, k0):
         # Gamma(d/2, z) / (pi^(d/2) k^d) <= c pi^(d/2-2) eta^(1-d/2) k^-2 e^-z
@@ -383,6 +361,7 @@ class Gaussian:
 
     c: float
     singular = False
+    split = False
     # relative accuracy of each term (at c r^2 <= 40; test_term_accuracy):
     # exp(-c r^2) moves by c r^2 times the rounding of c r^2, measured
     # within 6.2e-15
@@ -396,23 +375,12 @@ class Gaussian:
     def label(self):
         return f"gaussian:{_param_text(self.c)}"
 
-    def direct_terms(self, eta, want_grad=False):
-        c = self.c
-
-        def gaussian_terms(r):
-            t = np.exp(-c * (r * r))
-            return t, (-2.0 * c * t if want_grad else None)
-
-        return gaussian_terms
+    def direct_terms(self, eta, r, want_grad=False):
+        t = np.exp(-self.c * (r * r))
+        return t, (-2.0 * self.c * t if want_grad else None)
 
     def direct_majorant(self, eta, r0):
         return 1.0, 0.0, self.c
-
-    def dual_coeffs(self, eta, d):
-        return None
-
-    def dual_majorant(self, eta, d, k0):
-        return None
 
     def eta_constant(self, eta, d):
         # the lattice-average subtraction: the integral over [0, 1) of
@@ -563,10 +531,9 @@ def _rounding_floor(lat, pot, eta):
     vector and the splitting constant.  Rounding alone reaches it, so no
     smaller tolerance can be certified."""
     d = lat.dimension
-    mags = [abs(float(pot.direct_terms(eta)(1.0)[0])), abs(pot.eta_constant(eta, d))]
-    coeffs = pot.dual_coeffs(eta, d)
-    if coeffs is not None:
-        mags.append(abs(float(coeffs(min_dual_norm(lat)))))
+    mags = [abs(float(pot.direct_terms(eta, 1.0)[0])), abs(pot.eta_constant(eta, d))]
+    if pot.split:
+        mags.append(abs(float(pot.dual_coeffs(eta, d, min_dual_norm(lat)))))
     return _EPS * max(mags)
 
 
@@ -584,7 +551,7 @@ def _cutoffs(lat, pot, tol, eta, rel=1e-6):
         lambda r: _tail_bound(pot.direct_majorant(eta, r), r, cell, d),
         tol / 2.0, r_max, "direct", rel)
     k_cut = dual_tail = 0.0
-    if pot.dual_coeffs(eta, d) is not None:
+    if pot.split:
         dual_cell = lat.dual_half_cell_diameter
         k_cut, dual_tail = _cutoff(
             lambda k: _tail_bound(pot.dual_majorant(eta, d, k), k, dual_cell, d),
@@ -639,13 +606,14 @@ def plan_ewald(lat, pot, tol, eta=None):
     tol must be finite and positive and no smaller than the rounding floor
     of the sum (_rounding_floor); eta must be finite and positive.  A cutoff
     that would put more than _SHELL_BUDGET vectors inside its radius raises
-    UnreachableTolerance before any vector is enumerated.
+    UnreachableTolerance before any vector is enumerated, and a shell walk
+    whose integer box exceeds 2e7 points (a skewed basis) raises
+    InvalidParameter before building it.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter(f"tol must be a positive finite number, got {tol}")
     if eta is None:
-        no_dual = pot.dual_coeffs(1.0, lat.dimension) is None
-        eta = 1.0 if no_dual else _cheapest_eta(lat, pot, tol)
+        eta = _cheapest_eta(lat, pot, tol) if pot.split else 1.0
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidParameter(f"eta must be a positive finite number, got {eta}")
     floor = _rounding_floor(lat, pot, eta)
@@ -660,8 +628,7 @@ def plan_ewald(lat, pot, tol, eta=None):
         raise UnreachableTolerance("direct shell count exceeds budget")
     dual = enumerate_shells(lat, "dual", k_cut)
     wh, wn, _ = dual.half()
-    coeffs = pot.dual_coeffs(eta, lat.dimension)
-    wa = coeffs(wn) if coeffs is not None else np.zeros(0)
+    wa = pot.dual_coeffs(eta, lat.dimension, wn) if pot.split else np.zeros(0)
 
     return EwaldPlan(
         lattice=lat,
@@ -722,7 +689,6 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
     """
     n, d = Q.shape
     pot = plan.potential
-    terms = pot.direct_terms(plan.eta, want_grad)
     # component-major (d, rows, images) differences keep every inner loop
     # over the long image axis
     VT = np.ascontiguousarray(plan.direct_vectors.T)
@@ -739,7 +705,7 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
         degenerate[rows] = on_lattice.any(axis=1)
         if pot.singular and degenerate[rows].any():
             r[on_lattice] = 1.0  # keeps the terms finite; callers reset rows
-        t, radial = terms(r)
+        t, radial = pot.direct_terms(plan.eta, r, want_grad)
         values[rows] = t.sum(axis=1)
         if abs_sums is not None:
             abs_sums[rows] = np.abs(t).sum(axis=1)
@@ -919,7 +885,7 @@ def epstein_zeta(lat, s, tol=1e-12):
         raise PolePoint("Epstein zeta has its pole at s = d")
     pot = Riesz(s)
     plan = plan_ewald(lat, pot, tol, 1.0)
-    t, _ = pot.direct_terms(1.0)(np.linalg.norm(plan.direct_vectors[1:], axis=1))
+    t, _ = pot.direct_terms(1.0, np.linalg.norm(plan.direct_vectors[1:], axis=1))
     direct = float(t.sum())
     dual = 2.0 * float(plan.dual_coeffs_half.sum())
     return (direct + dual - 1.0 / math.gamma(s / 2.0 + 1.0)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularBasis
+from .errors import DimensionMismatch, InvalidParameter, SingularBasis
 
 __all__ = [
     "Lattice",
@@ -172,12 +172,19 @@ def lattice_preset(name):
 
 def _integer_box(lattice, which, radius):
     """The direct or dual basis B and the half-widths of an integer box that
-    holds every k with |B k| <= radius (|k_i| <= |row i of inv(B)| |B k|)."""
+    holds every k with |B k| <= radius (|k_i| <= |row i of inv(B)| |B k|).
+    A box of more than 2e7 points (a large radius, or a skewed basis whose
+    box is far wider than its ball) raises InvalidParameter before any
+    point is built."""
     if which not in ("direct", "dual"):
         raise ValueError("which must be 'direct' or 'dual'")
     basis = lattice.basis if which == "direct" else lattice.dual_basis
     row_norms = np.linalg.norm(np.linalg.inv(basis), axis=1)
-    return basis, np.ceil(row_norms * radius + 1e-9).astype(int)
+    bound = np.ceil(row_norms * radius + 1e-9).astype(int)
+    if np.prod(2.0 * bound + 1.0) > 2e7:
+        raise InvalidParameter(f"the integer box for radius {radius:.3g} has "
+                               "more than 2e7 points")
+    return basis, bound
 
 
 class ShellIterator:
@@ -230,13 +237,9 @@ def box_blocks(lat, which, radius):
     from, for order-free sums of terms that are small outside the ball:
     a generator of blocks, each the d coordinate arrays of B k over at most
     _BOX_BLOCK integer points k, unsorted and unfiltered, that together
-    cover the box once.  Refuses a box of more than 2e7 points here, before
-    any block is built."""
-    basis, bound = _integer_box(lat, which, radius)
-    if np.prod(2.0 * bound + 1.0) > 2e7:
-        raise ValueError(f"the integer box for radius {radius:.3g} has more "
-                         "than 2e7 points")
-    return _box_walk(basis, bound)
+    cover the box once.  _integer_box refuses a box of more than 2e7 points
+    here, before any block is built."""
+    return _box_walk(*_integer_box(lat, which, radius))
 
 
 def _box_walk(basis, bound):

@@ -41,6 +41,12 @@ __all__ = [
     "SUITES",
 ]
 
+# the brute-force direct sum's truncation target: the terms beyond its
+# radius sum to at most a quarter of it
+_BRUTE_TAIL = 1e-11
+# interior points of the uniform grid of (0, 1) the convexity check samples
+_CONVEXITY_GRID = 101
+
 
 @dataclass
 class CheckResult:
@@ -159,10 +165,7 @@ def check_logriesz_1d(n, s):
 
 def check_log_1d(n):
     """Ewald logarithmic energy against 2N(sqrt(pi)(N-1) - log N)."""
-    if n == 1:
-        lhs = 0.0  # empty pair sum
-    else:
-        lhs = _equally_spaced_energy(n, kn.Log())
+    lhs = _equally_spaced_energy(n, kn.Log())
     return _make_check(f"log-1d(N={n})", lhs, log_1d_minimum(n), 1e-9)
 
 
@@ -205,22 +208,22 @@ def check_poisson(lat, x, omega):
         note=f"x={np.array2string(x, precision=4)}")
 
 
-def brute_force_epstein_hurwitz(lat, q, s, tail_target=1e-11):
+def brute_force_epstein_hurwitz(lat, q, s):
     """Direct sum of |q+v|^-s over the lattice (s > d), independent of the
     Ewald machinery.  The radius comes from the integral tail bound: terms
-    beyond it sum to at most tail_target/4 (2.5e-12 in d = 1).  The sum runs
+    beyond it sum to at most _BRUTE_TAIL/4 (2.5e-12 in d = 1).  The sum runs
     block by block over the box of box_blocks, which holds that ball, so its
     truncation is at most the ball's tail, in memory bounded by one block;
     the blocks' partial sums are added exactly (math.fsum).
     In d = 1, s in {3, 4.5, 7}, q in {0.29, 0.5, 0.71}, truncation and
     rounding together stay within 1.5e-13 relative of hurwitz_zeta(s, q) +
-    hurwitz_zeta(s, 1 - q).  The radius grows like tail_target^(-1/(s-d));
+    hurwitz_zeta(s, 1 - q).  The radius grows like _BRUTE_TAIL^(-1/(s-d));
     box_blocks refuses boxes beyond 2e7 points."""
     d = lat.dimension
     if s <= d:
         raise ValueError("direct sum requires s > d")
     sigma_d = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    radius = (4.0 * sigma_d / ((s - d) * tail_target)) ** (1.0 / (s - d))
+    radius = (4.0 * sigma_d / ((s - d) * _BRUTE_TAIL)) ** (1.0 / (s - d))
     radius = max(radius, 4.0) + lat.half_cell_diameter
     q = np.asarray(q, dtype=float)
     return math.fsum(float(np.sum(_shifted_r2(q, v) ** (-s / 2.0)))
@@ -245,7 +248,7 @@ def check_constant_shift(lat, q, s):
 # ---------------------------------------------------------------------------
 
 
-def check_convexity_1d(s, grid=101):
+def check_convexity_1d(s):
     """Second differences of q -> K_s(q, 0) on a uniform grid of (0,1) are
     all positive, and the kernel is symmetric about q = 1/2.
 
@@ -264,7 +267,7 @@ def check_convexity_1d(s, grid=101):
         vals, _, _ = kn.evaluate_batch(lat, kn.Riesz(s), plan, q_min)
         return vals
 
-    qs = np.linspace(0.0, 1.0, grid + 1, endpoint=False)[1:]
+    qs = np.linspace(0.0, 1.0, _CONVEXITY_GRID + 1, endpoint=False)[1:]
     vals = kernel_on(qs)
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     min2 = float(second.min())
@@ -272,7 +275,7 @@ def check_convexity_1d(s, grid=101):
     sym = float(np.max(np.abs(kernel_on(dyadic) - kernel_on(1.0 - dyadic))))
     violation = max(0.0, -min2)
     return CheckResult(
-        name=f"convexity-1d(s={s:g},grid={grid})",
+        name=f"convexity-1d(s={s:g},grid={_CONVEXITY_GRID})",
         lhs=min2,
         rhs=0.0,
         abs_err=violation,

@@ -411,6 +411,16 @@ def test_out_of_domain_input_exits_1(argv, capsys):
     _assert_one_error_line(capsys)
 
 
+def test_skewed_basis_exits_1(tmp_path, capsys):
+    # the planner's shell walk refuses the sheared basis's 1e10-point
+    # integer box instead of allocating it
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps([[1, 3000], [0, 1]]))
+    assert run_cli(["kernel-eval", "--lattice", str(path), "--potential",
+                    "riesz:1", "--x", "0.3,0.1", "--y", "0"]) == 1
+    _assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("points", [[[0.1], [math.nan]], [[0.1, 0.2], [0.3, 0.4]]],
                          ids=["nan-point", "wrong-dimension"])
 def test_energy_bad_points_exit_1(points, tmp_path, capsys):

@@ -35,6 +35,13 @@ def test_configuration_rejects_non_finite_points(bad):
         en.Configuration(Z1, np.array([[0.25], [bad]]))
 
 
+def test_configuration_rejects_points_of_more_than_two_dimensions():
+    # (2, 1, 1) has the lattice's d = 1 on its second axis; it must be
+    # refused here, not inside total_energy
+    with pytest.raises(InvalidParameter, match="N x d"):
+        en.Configuration(Z1, np.array([[[0.1]], [[0.6]]]))
+
+
 def test_two_point_energy_closed_form():
     pot = kn.Riesz(2.0)
     cfg = en.Configuration.equally_spaced(Z1, 2)

@@ -15,7 +15,7 @@ from perisum.errors import (
     PolePoint,
     UnreachableTolerance,
 )
-from perisum.lattice import enumerate_shells, lattice_preset
+from perisum.lattice import enumerate_shells, lattice_from_basis, lattice_preset
 
 Z1 = lattice_preset("Z1")
 Z2 = lattice_preset("Z2")
@@ -587,12 +587,12 @@ def _omitted_terms(plan, ref, Q):
     assert np.array_equal(ref.direct_vectors[:n_direct], plan.direct_vectors)
     V = ref.direct_vectors[n_direct:]
     r = np.linalg.norm(Q[:, None, :] + V[None, :, :], axis=2)
-    total = pot.direct_terms(eta)(r)[0].sum(axis=1)
+    total = pot.direct_terms(eta, r)[0].sum(axis=1)
     n_dual = plan.dual_vectors_half.shape[0]
     assert np.array_equal(ref.dual_vectors_half[:n_dual], plan.dual_vectors_half)
     W = ref.dual_vectors_half[n_dual:]
     if W.shape[0]:
-        a = pot.dual_coeffs(eta, d)(ref.dual_norms_half[n_dual:])
+        a = pot.dual_coeffs(eta, d, ref.dual_norms_half[n_dual:])
         total += 2.0 * (np.cos(2.0 * math.pi * (Q @ W.T)) @ a)
     return total
 
@@ -644,15 +644,15 @@ def test_majorants_bound_terms(pot, d):
         bound = a * rho**p * np.exp(-x) * (1.0 + 4.0 * np.finfo(float).eps * (1.0 + x))
         assert np.all(np.abs(values(rho)) <= bound), r0
 
+    # only the Gaussian has no reciprocal side, and so no dual majorant
+    assert pot.split == (not isinstance(pot, kn.Gaussian))
     for eta in (0.25, 1.0, 4.0):
-        terms = pot.direct_terms(eta)
-        coeffs = pot.dual_coeffs(eta, d)
         for r0 in (0.6, 1.0, 1.7, 3.0):
-            check(pot.direct_majorant(eta, r0), lambda r: terms(r)[0], r0)
-            if coeffs is None:
-                assert pot.dual_majorant(eta, d, r0) is None
-            else:
-                check(pot.dual_majorant(eta, d, r0), coeffs, r0)
+            check(pot.direct_majorant(eta, r0),
+                  lambda r: pot.direct_terms(eta, r)[0], r0)
+            if pot.split:
+                check(pot.dual_majorant(eta, d, r0),
+                      lambda k: pot.dual_coeffs(eta, d, k), r0)
 
 
 def test_tail_bound_against_brute_force_count():
@@ -724,6 +724,15 @@ def test_plan_rejects_tol_below_rounding_floor():
         kn.plan_ewald(Z2, kn.Log(), 1e-15, eta=0.25)
 
 
+def test_plan_refuses_skewed_basis_box():
+    # the unimodular shear [[1, 3000], [0, 1]] is Z2 again, but its cell
+    # reaches |v| = 1500, so the direct shell walk's integer box would hold
+    # about 3e10 points; the walk refuses it instead of allocating it
+    sheared = lattice_from_basis([[1.0, 3000.0], [0.0, 1.0]])
+    with pytest.raises(InvalidParameter, match="2e7"):
+        kn.plan_ewald(sheared, kn.Riesz(1.0), 1e-10)
+
+
 def test_plan_budget_checked_before_enumeration(monkeypatch):
     # a splitting parameter far from 1 puts the dual (large eta) or the
     # direct (small eta) cutoff beyond the shell budget; the planner must
@@ -752,18 +761,16 @@ def test_envelopes_match_array_formulas(pot, d):
     # sigma = 0, integer and fractional sigma < 0, and the log-Riesz pair on
     # both sides of 0.
     eta = 2.0
-    terms = pot.direct_terms(eta)
     for r in np.linspace(0.05, 12.0, 48):
-        ref = abs(float(terms(np.array([r]))[0][0]))
-        assert abs(float(terms(float(r))[0])) == pytest.approx(
+        ref = abs(float(pot.direct_terms(eta, np.array([r]))[0][0]))
+        assert abs(float(pot.direct_terms(eta, float(r))[0])) == pytest.approx(
             ref, rel=1e-15, abs=0.0), r
-    coeffs = pot.dual_coeffs(eta, d)
     if isinstance(pot, kn.Gaussian):
-        assert coeffs is None
+        assert not pot.split
         return
     for k in np.linspace(0.1, 6.0, 48):
-        ref = abs(float(coeffs(np.array([k]))[0]))
-        assert abs(float(coeffs(float(k)))) == pytest.approx(
+        ref = abs(float(pot.dual_coeffs(eta, d, np.array([k]))[0]))
+        assert abs(float(pot.dual_coeffs(eta, d, float(k)))) == pytest.approx(
             ref, rel=1e-15, abs=0.0), k
 
 
@@ -811,14 +818,13 @@ def test_term_accuracy(pot):
     # (log-Riesz 4), 1.1e-14 (log) and 6.2e-15 (Gaussian 2).
     worst = 0.0
     for eta in (0.25, 1.0, 4.0):
-        terms = pot.direct_terms(eta)
         for d, r, k in ((1, 0.3, 0.4), (2, 0.9, 1.1), (3, 1.7, 0.25),
                         (1, 2.6, 1.6), (2, 4.0, 0.7), (3, 5.5, 2.2)):
-            coeffs = pot.dual_coeffs(eta, d)
             (t, a), scale = _exact_terms(pot, eta, d, r, k)
-            got = [(float(terms(r)[0]), float(t), eta * r * r)]
-            if coeffs is not None:
-                got.append((float(coeffs(k)), float(a), math.pi**2 * k * k / eta))
+            got = [(float(pot.direct_terms(eta, r)[0]), float(t), eta * r * r)]
+            if pot.split:
+                got.append((float(pot.dual_coeffs(eta, d, k)), float(a),
+                            math.pi**2 * k * k / eta))
             for i, (v, exact, x) in enumerate(got):
                 if x > 40.0:
                     continue

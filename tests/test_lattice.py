@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from perisum import lattice as lattice_module
-from perisum.errors import DimensionMismatch, SingularBasis
+from perisum.errors import DimensionMismatch, InvalidParameter, SingularBasis
 from perisum.lattice import (
     PRESETS,
     Lattice,
@@ -116,6 +116,18 @@ def test_box_blocks_below_one_slab(name, monkeypatch):
 def test_box_vectors_guard():
     with pytest.raises(ValueError, match="2e7"):
         box_blocks(lattice_preset("Z3"), "direct", 200.0)
+
+
+def test_skewed_basis_box_refused_before_enumeration():
+    # a unimodular shear of Z2 whose cell reaches |v| = 1500: the integer
+    # box around the ball of that radius holds about 2.7e10 points, and
+    # both walks refuse it before building one
+    sheared = lattice_from_basis([[1.0, 3000.0], [0.0, 1.0]])
+    radius = sheared.half_cell_diameter
+    assert radius > 1500.0
+    for walk in (enumerate_shells, box_blocks):
+        with pytest.raises(InvalidParameter, match="2e7"):
+            walk(sheared, "direct", radius)
 
 
 def test_hex_dual_count_matches_integer_box_scan():

@@ -135,10 +135,11 @@ def test_box_block_size_moves_only_rounding(name, s, tail, monkeypatch):
     lat = lattice_preset(name)
     q = lat.to_cartesian(np.full(lat.dimension, 0.31))
     omega = 1.3
-    bf = vd.brute_force_epstein_hurwitz(lat, q, s, tail)
+    monkeypatch.setattr(vd, "_BRUTE_TAIL", tail)
+    bf = vd.brute_force_epstein_hurwitz(lat, q, s)
     po = vd.check_poisson(lat, q, omega)
     monkeypatch.setattr(lattice_module, "_BOX_BLOCK", 7)
-    bf7 = vd.brute_force_epstein_hurwitz(lat, q, s, tail)
+    bf7 = vd.brute_force_epstein_hurwitz(lat, q, s)
     assert bf7 == pytest.approx(bf, rel=1e-14)
     po7 = vd.check_poisson(lat, q, omega)
     assert po7.lhs == pytest.approx(po.lhs, rel=1e-14)
