@@ -226,6 +226,8 @@ def _cmd_energy(args):
         "n_points": cfg.n_points,
         "degenerate_pairs": rep.degenerate_pairs,
         "gradient": rep.gradient,
+        **({"grad_abs_err_bound": rep.grad_abs_err_bound}
+           if args.gradient else {}),
         "lattice": lat.to_json_dict(),
         **_provenance(plan),
     }

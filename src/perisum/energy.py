@@ -90,13 +90,17 @@ class EnergyReport:
     """Energy value with diagnostics.  gradient is with respect to the
     fractional coordinates and is None when the energy is infinite.
     abs_err_bound is N(N-1) times the plan's bound on each kernel value's
-    truncation error."""
+    truncation error.  grad_abs_err_bound bounds each entry's truncation
+    error: a point's Cartesian gradient sums 2 grad K over N - 1 partners,
+    each off by at most the plan's two gradient tail bounds, and a
+    fractional entry is its dot product with a column of the basis."""
 
     energy: float
     gradient: np.ndarray | None
     degenerate_pairs: list
     plan: kn.EwaldPlan
     abs_err_bound: float
+    grad_abs_err_bound: float
 
 
 @dataclass
@@ -151,13 +155,16 @@ def total_energy(cfg, pot, plan, with_gradient=False):
     n = cfg.n_points
     if n == 1:
         grad = np.zeros_like(cfg.points) if with_gradient else None
-        return EnergyReport(0.0, grad, [], plan, 0.0)
+        return EnergyReport(0.0, grad, [], plan, 0.0, 0.0)
     bound = n * (n - 1) * plan.guaranteed_abs_err
+    grad_bound = (2.0 * (n - 1) * lat.max_generator_norm
+                  * (plan.direct_grad_tail_bound + plan.dual_grad_tail_bound))
     j, k, Q = _pair_differences(cfg)
     direct, grads, degen = kn._direct_sums(plan, Q, with_gradient)
     degenerate_pairs = [(int(a), int(b)) for a, b in zip(j[degen], k[degen])]
     if pot.singular and degen.any():
-        return EnergyReport(math.inf, None, degenerate_pairs, plan, bound)
+        return EnergyReport(math.inf, None, degenerate_pairs, plan, bound,
+                            grad_bound)
     dual, gradient = kn._dual_energy(plan, cfg.cartesian(), with_gradient)
     # the constant joins each pair's direct sum before the pairs are summed,
     # as in the pairwise kernel: for the Gaussian it nearly cancels them
@@ -168,10 +175,13 @@ def total_energy(cfg, pot, plan, with_gradient=False):
         # top of the reciprocal gradient; then the chain rule into
         # fractional coordinates
         grads[degen] = 0.0
-        np.add.at(gradient, j, 2.0 * grads)
-        np.add.at(gradient, k, -2.0 * grads)
+        ends = np.concatenate([j, k])
+        pair_grads = 2.0 * np.concatenate([grads, -grads])
+        for c in range(lat.dimension):
+            gradient[:, c] += np.bincount(ends, pair_grads[:, c], n)
         gradient = gradient @ lat.basis
-    return EnergyReport(energy, gradient, degenerate_pairs, plan, bound)
+    return EnergyReport(energy, gradient, degenerate_pairs, plan, bound,
+                        grad_bound)
 
 
 def energy_gradient(cfg, pot, plan):

@@ -20,29 +20,34 @@ logarithmic kernel replaces the gamma terms by E1 and Gamma(d/2, .), and
 the Gaussian kernel is an absolutely convergent direct sum minus its
 lattice-average constant.
 
-evaluate_batch, the pairwise reference path (and kernel_value's), makes
-one pass over blocks of difference rows, each block holding at most
+evaluate_batch, the pairwise path (and kernel_value's), makes one pass
+over blocks of difference rows, each block holding at most
 _BLOCK_PAIR_IMAGES (row, direct image) or (row, dual vector) pairs, so its
 memory does not grow with the batch; each row is reduced in an order that
-does not depend on the rest of the batch.  Within a block the distances,
-the regularized Q(s/2, eta r^2), r^-s and exp(-eta r^2) (and, for
-log-Riesz, log r and the (Gamma, d/dsigma Gamma) pair) are computed once
-and serve both the value and the gradient.  An energy sums the direct
-part pair by pair through the same blocks (_direct_sums) but takes the
-reciprocal part from structure factors (_dual_energy), in O(N K) for N
-points and K dual vectors.  Q(1/2, x) = erfc(sqrt x), the d = 3
-Coulomb case, is taken from specfun without scipy's general incomplete
-gamma.  kernel_value's bound adds to the plan's truncation bound the
-family's rel_accuracy times the sum of |terms|, which evaluate_batch
-accumulates in the same pass.
+does not depend on the rest of the batch.  The direct sums (_direct_sums)
+take, per pair, the images with |q+v| <= r_cut only: of the images the
+plan enumerates, those within r_cut + half_cell_diameter, the rest lie
+beyond r_cut, where the plan's bound already covers every point of any
+translate of the lattice.  The kept distances, the regularized Q(s/2, eta
+r^2), r^-s and exp(-eta r^2) (and, for log-Riesz, log r and the (Gamma,
+d/dsigma Gamma) pair) are computed once and serve both the value and the
+gradient.  An energy sums the direct part pair by pair through the same
+blocks but takes the reciprocal part from structure factors
+(_dual_energy), in O(N K) for N points and K dual vectors.  Q(1/2, x) =
+erfc(sqrt x), the d = 3 Coulomb case, is taken from specfun without
+scipy's general incomplete gamma.  kernel_value's bound adds to the plan's
+truncation bound the family's rel_accuracy times the sum of |terms|, which
+evaluate_batch accumulates in the same pass.
 
 Each potential family (Riesz, LogRiesz, Log, Gaussian) is one frozen
 dataclass that owns its split: label (its parse_potential string),
-singular, split, direct_terms(eta, r, want_grad), eta_constant(eta, d) and
+singular, split, direct_terms(eta, r, want_grad), eta_constant(eta, d),
 direct_majorant(eta, r0), the majorant the planner bounds the direct tail
-with.  The three split families (split = True) also have the reciprocal
-side, dual_coeffs(eta, d, k) and dual_majorant(eta, d, k0); the Gaussian
-(split = False) is absolutely summable and has neither.  direct_terms
+with, and direct_grad_majorant(eta, r0), which bounds |g'(r)| for the
+gradient's tail.  The three split families (split = True) also have the
+reciprocal side, dual_coeffs(eta, d, k), dual_majorant(eta, d, k0) and
+dual_grad_majorant(eta, d, k0); the Gaussian (split = False) is absolutely
+summable and has none of them.  direct_terms
 returns (terms, radial) at the distances r, with radial, the factor g'(r)/r
 of each term's gradient radial * (q + v), None unless want_grad;
 dual_coeffs returns a(k) at the dual norms k.  Both evaluate their formula
@@ -50,13 +55,15 @@ directly on an array or one float, and powers go through np.power, so a
 float rounds as an array element does.
 
 plan_ewald certifies its cutoffs in closed form.  Each majorant has the
-form A rho^p exp(-alpha rho^2), p <= 0, and bounds |term| beyond the radius
-it is taken at; it follows from Gamma(sigma, x) <= c x^(sigma-1) e^-x
+form A rho^p exp(-alpha rho^2), p <= 0 for the values and p = -1 for the
+gradients (+1 for the Gaussian's), and bounds |term| beyond the radius it
+is taken at; it follows from Gamma(sigma, x) <= c x^(sigma-1) e^-x
 (_gamma_factor) and, for log-Riesz, from log x <= log t <= log x + (t-x)/x
 on t >= x.  Counting lattice points by cells of circumradius
 half_cell_diameter turns the majorant into a tail bound made of
 exponentials and powers (_tail_bound), and each cutoff is found by
-bisection on that bound.  Without a given eta, plan_ewald takes the eta of
+bisection on the value's bound; the gradient's bounds are recorded at the
+same cutoffs.  Without a given eta, plan_ewald takes the eta of
 1, 2, 4, ..., 128 that minimises a per-pair cost, the direct images plus
 _DUAL_TERM_COST times the dual terms, both counted in closed form from
 those cutoffs.  kernel_value(plan, x, y) is the one single-pair entry
@@ -102,6 +109,7 @@ __all__ = [
 ]
 
 _SINGULAR_EPS = 1e-13  # |q + v| below this counts as a lattice point
+_CUT_MARGIN = 1e-12  # relative slack on r_cut in the direct sums
 # rows x images per block of evaluate_batch: bounds its temporaries to
 # about 12 MiB whatever the batch size
 _BLOCK_PAIR_IMAGES = 1 << 17
@@ -169,13 +177,24 @@ def _param_text(x):
     return repr(float(x)).removesuffix(".0")
 
 
+class _Split:
+    """What the three split families share: the reciprocal side's gradient
+    majorant, 2 pi k times the value majorant, since the gradient of a(|w|)
+    cos(2 pi w.q) has norm at most 2 pi |w| |a(|w|)|."""
+
+    split = True
+
+    def dual_grad_majorant(self, eta, d, k0):
+        a, power, rate = self.dual_majorant(eta, d, k0)
+        return 2.0 * math.pi * a, power + 1.0, rate
+
+
 @dataclass(frozen=True)
-class Riesz:
+class Riesz(_Split):
     """Inverse-power potential |x|^-s, s > 0."""
 
     s: float
     singular = True
-    split = True
     # relative accuracy of each term (at x <= 40; test_term_accuracy):
     # gammaincc (sigma > 0) and gamma_upper_vec (sigma <= 0) are within
     # 3.6e-14 of mpmath, and the terms were measured within 1.1e-14
@@ -211,6 +230,14 @@ class Riesz:
         c = _gamma_factor(sig, eta * r0 * r0)
         return c * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
 
+    def direct_grad_majorant(self, eta, r0):
+        # |g'(r)| = c1 e^-x / r + s |term| / r, and the direct majorant's
+        # r^-3 is at most r^-1 / r0^2 beyond r0
+        sig = 0.5 * self.s
+        a = self.direct_majorant(eta, r0)[0]
+        c1 = 2.0 * eta**sig / math.gamma(sig)
+        return c1 + self.s * a / (r0 * r0), -1.0, eta
+
     def dual_coeffs(self, eta, d, k):
         s = self.s
         pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
@@ -233,13 +260,12 @@ class Riesz:
 
 
 @dataclass(frozen=True)
-class LogRiesz:
+class LogRiesz(_Split):
     """Potential |x|^-s log(|x|^-2), s > 0: 2 d/ds of the Riesz potential,
     and so are its terms, coefficients and constant."""
 
     s: float
     singular = True
-    split = True
     # relative accuracy of each term (at x <= 40; test_term_accuracy): the
     # (Gamma, d/dsigma Gamma) pair is within 3e-14 of mpmath, and a term, a
     # difference of Riesz-sized parts, was measured within 8.2e-15 of those
@@ -289,6 +315,15 @@ class LogRiesz:
         k = _dsigma_factor(sig, eta * r0 * r0, math.log(eta) - sf.digamma(sig))
         return k * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
 
+    def direct_grad_majorant(self, eta, r0):
+        # |g'(r)| <= (c1 |log eta - psi| e^-x + 2 |t| + s |t2|) / r with t
+        # the Riesz term and t2 this one, each under its direct majorant
+        sig = 0.5 * self.s
+        riesz = Riesz(self.s).direct_majorant(eta, r0)[0]
+        own = self.direct_majorant(eta, r0)[0]
+        c1 = 2.0 * eta**sig / math.gamma(sig) * abs(math.log(eta) - sf.digamma(sig))
+        return c1 + (2.0 * riesz + self.s * own) / (r0 * r0), -1.0, eta
+
     def dual_coeffs(self, eta, d, k):
         s = self.s
         pref = math.pi ** (d / 2.0) / math.gamma(s / 2.0)
@@ -319,11 +354,10 @@ class LogRiesz:
 
 
 @dataclass(frozen=True)
-class Log:
+class Log(_Split):
     """Potential log(|x|^-2)."""
 
     singular = True
-    split = True
     label = "log"
     # relative accuracy of each term (at x <= 40; test_term_accuracy): E1
     # and Gamma(d/2, .) by gammaincc, measured within 1.1e-14
@@ -338,6 +372,10 @@ class Log:
     def direct_majorant(self, eta, r0):
         # E1(x) <= e^-x / x
         return 1.0 / eta, -2.0, eta
+
+    def direct_grad_majorant(self, eta, r0):
+        # |g'(r)| = 2 e^-x / r exactly
+        return 2.0, -1.0, eta
 
     def dual_coeffs(self, eta, d, k):
         z = math.pi**2 * k * k / eta
@@ -382,6 +420,11 @@ class Gaussian:
     def direct_majorant(self, eta, r0):
         return 1.0, 0.0, self.c
 
+    def direct_grad_majorant(self, eta, r0):
+        # |g'(r)| = 2 c r exp(-c r^2) exactly; it decreases only beyond
+        # r = 1/sqrt(2 c), which _tail_bound checks
+        return 2.0 * self.c, 1.0, self.c
+
     def eta_constant(self, eta, d):
         # the lattice-average subtraction: the integral over [0, 1) of
         # pi^(d/2) t^(-d/2) against the point mass at c, active exactly
@@ -420,7 +463,9 @@ class EwaldPlan:
     """Truncation radii with certified tail bounds for one (lattice,
     potential, eta) combination.  Holds the enumerated shells and the dual
     coefficients a(w) at the half dual vectors, so repeated evaluations
-    share them."""
+    share them.  The two gradient tail bounds, on the norm of what the cuts
+    leave out of a kernel's gradient, are taken at the same r_cut and k_cut;
+    to_json_dict leaves them out."""
 
     lattice: Lattice
     potential: object
@@ -430,6 +475,8 @@ class EwaldPlan:
     tol: float
     direct_tail_bound: float
     dual_tail_bound: float
+    direct_grad_tail_bound: float
+    dual_grad_tail_bound: float
     direct_vectors: np.ndarray = field(repr=False)
     dual_vectors_half: np.ndarray = field(repr=False)
     dual_norms_half: np.ndarray = field(repr=False)
@@ -484,18 +531,22 @@ def _tail_bound(majorant, radius, cell, d):
     """Upper bound on sum |term(|p|)| over the points p, |p| > radius, of a
     translate of a unit-covolume lattice whose cells have circumradius cell,
     given majorant = (A, power, rate): |term(rho)| <= F(rho) = A rho^power
-    exp(-rate rho^2) for rho >= radius, with power <= 0 so F decreases.
+    exp(-rate rho^2) for rho >= radius.
 
     The cells centred on the points tile space, so at most V_d (rho +
     cell)^d points lie within rho of the origin, and summation by parts
     bounds the tail by V_d [(R + cell)^d F(R) + d int_R^inf (rho + cell)^(d-1)
-    F(rho) drho].  Expanding (rho + cell)^(d-1) leaves the integrals
-    int_R^inf rho^m e^(-rate rho^2) = Gamma((m+1)/2, x) / (2 rate^((m+1)/2)),
-    x = rate R^2, each at most _gamma_factor((m+1)/2, x) R^(m-1) e^-x /
-    (2 rate).
+    F(rho) drho] wherever F decreases on [R, inf): for every R when power
+    <= 0, and from R^2 >= power / (2 rate) when power > 0 (the Gaussian's
+    gradient); below that the bound is inf.  Expanding (rho + cell)^(d-1)
+    leaves the integrals int_R^inf rho^m e^(-rate rho^2) = Gamma((m+1)/2, x)
+    / (2 rate^((m+1)/2)), x = rate R^2, each at most _gamma_factor((m+1)/2,
+    x) R^(m-1) e^-x / (2 rate).
     """
     coeff, power, rate = majorant
     x = rate * radius * radius
+    if 2.0 * x < power:
+        return math.inf
     inner = 0.0
     for k in range(d):
         m = power + k
@@ -587,14 +638,17 @@ def plan_ewald(lat, pot, tol, eta=None):
     """Choose truncation radii whose certified tail bounds are each at most
     tol/2.
 
-    The direct sum keeps every lattice vector with |v| <= r_cut +
+    The plan enumerates every lattice vector with |v| <= r_cut +
     half_cell_diameter.  A min-imaged difference q has |q| <=
-    half_cell_diameter, so every omitted image has |q + v| > r_cut, and
-    _tail_bound of the family's direct majorant at r_cut bounds their sum.
-    The dual sum keeps every nonzero w with |w| <= k_cut and is bounded the
-    same way on the dual lattice, with its own cell and no shift.  Both
-    bounds are closed forms; each cutoff is the bisected smallest radius
-    whose bound is at most tol/2, and the plan records those bounds.
+    half_cell_diameter, so these include every image with |q + v| <=
+    r_cut, and the direct sums take, per pair, exactly those images
+    (_direct_sums); _tail_bound of the family's direct majorant at r_cut
+    bounds the sum over the rest.  The dual sum keeps every nonzero w with
+    |w| <= k_cut and is bounded the same way on the dual lattice, with its
+    own cell and no shift.  Both bounds are closed forms; each cutoff is
+    the bisected smallest radius whose bound is at most tol/2, and the plan
+    records those bounds, and the gradient tail bounds of the families'
+    gradient majorants at the same cutoffs.
 
     eta=None lets a cost model choose the split (_cheapest_eta): of eta =
     1, 2, 4, ..., 128 it takes the one with the fewest direct images plus
@@ -621,14 +675,21 @@ def plan_ewald(lat, pot, tol, eta=None):
         raise UnreachableTolerance(
             f"tol={tol:g} is below the rounding floor {floor:.2g} of the sum")
     r_cut, direct_tail, k_cut, dual_tail = _cutoffs(lat, pot, tol, eta)
+    d = lat.dimension
     cell = lat.half_cell_diameter
+    direct_grad_tail = _tail_bound(pot.direct_grad_majorant(eta, r_cut),
+                                   r_cut, cell, d)
+    dual_grad_tail = 0.0
+    if pot.split:
+        dual_grad_tail = _tail_bound(pot.dual_grad_majorant(eta, d, k_cut),
+                                     k_cut, lat.dual_half_cell_diameter, d)
 
     direct = enumerate_shells(lat, "direct", r_cut + cell)
     if len(direct) > _SHELL_BUDGET:
         raise UnreachableTolerance("direct shell count exceeds budget")
     dual = enumerate_shells(lat, "dual", k_cut)
     wh, wn, _ = dual.half()
-    wa = pot.dual_coeffs(eta, lat.dimension, wn) if pot.split else np.zeros(0)
+    wa = pot.dual_coeffs(eta, d, wn) if pot.split else np.zeros(0)
 
     return EwaldPlan(
         lattice=lat,
@@ -639,6 +700,8 @@ def plan_ewald(lat, pot, tol, eta=None):
         tol=float(tol),
         direct_tail_bound=float(direct_tail),
         dual_tail_bound=float(dual_tail),
+        direct_grad_tail_bound=float(direct_grad_tail),
+        dual_grad_tail_bound=float(dual_grad_tail),
         direct_vectors=direct.vectors,
         dual_vectors_half=wh,
         dual_norms_half=wn,
@@ -679,13 +742,19 @@ def _check_plan(lat, pot, plan):
 
 def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
     """Direct-space sums of the plan's potential at the rows of Q, shape
-    (n, d), in blocks of at most _BLOCK_PAIR_IMAGES (row, image) pairs:
-    (values, grads, degenerate).
+    (n, d): (values, grads, degenerate).
 
-    values and grads hold each row's sum over the plan's direct images of
-    the terms and of their gradients; degenerate marks rows lying on the
-    lattice, whose sums are meaningless for the singular families.  abs_sums,
-    if given, receives each row's sum of |terms|.
+    values and grads hold each row's sum, per pair, over the images with
+    |q + v| <= r_cut of the terms and of their gradients; degenerate marks
+    rows lying on the lattice (found over every image), whose sums are
+    meaningless for the singular families.  abs_sums, if given, receives
+    each row's sum of |terms|.  The plan's direct bound covers every point
+    of any translate of the lattice beyond r_cut, so the images it
+    enumerates out to r_cut + half_cell_diameter (one enumeration serves
+    every q) that lie beyond r_cut need no term.  Rows go in blocks of at
+    most _BLOCK_PAIR_IMAGES (row, image) pairs; a block's kept pairs form
+    one flat list for direct_terms, and np.bincount sums them per row in
+    image order, so a row's sums do not depend on the other rows.
     """
     n, d = Q.shape
     pot = plan.potential
@@ -693,32 +762,41 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
     # over the long image axis
     VT = np.ascontiguousarray(plan.direct_vectors.T)
     QT = np.ascontiguousarray(Q.T)
+    # the relative margin keeps every image whose |q + v| rounds to just
+    # above r_cut, so each image left out lies beyond r_cut
+    cut2 = (plan.r_cut * (1.0 + _CUT_MARGIN)) ** 2
     step = max(1, _BLOCK_PAIR_IMAGES // VT.shape[1])
     values = np.empty(n)
     grads = np.empty((n, d)) if want_grad else None
-    degenerate = np.zeros(n, dtype=bool)
+    degenerate = np.empty(n, dtype=bool)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         R = QT[:, rows, None] + VT[:, None, :]
-        r = np.sqrt(np.einsum("knv,knv->nv", R, R))
-        on_lattice = r < _SINGULAR_EPS
-        degenerate[rows] = on_lattice.any(axis=1)
-        if pot.singular and degenerate[rows].any():
-            r[on_lattice] = 1.0  # keeps the terms finite; callers reset rows
-        t, radial = pot.direct_terms(plan.eta, r, want_grad)
-        values[rows] = t.sum(axis=1)
+        r2 = np.einsum("knv,knv->nv", R, R)
+        nb, n_images = r2.shape
+        on_lattice = degenerate[rows] = r2.min(axis=1) < _SINGULAR_EPS**2
+        keep = r2 <= cut2
+        if pot.singular and on_lattice.any():
+            keep &= r2 >= _SINGULAR_EPS**2  # callers reset these rows
+        # flat indices of the kept (row, image) pairs, in row-major order
+        kept = np.flatnonzero(keep)
+        row = kept // n_images
+        t, radial = pot.direct_terms(plan.eta, np.sqrt(r2.take(kept)), want_grad)
+        values[rows] = np.bincount(row, t, nb)
         if abs_sums is not None:
-            abs_sums[rows] = np.abs(t).sum(axis=1)
+            abs_sums[rows] = np.bincount(row, np.abs(t), nb)
         if want_grad:
-            grads[rows] = np.einsum("nv,knv->nk", radial, R)
+            for c in range(d):
+                grads[rows, c] = np.bincount(row, R[c].take(kept) * radial, nb)
         # freed before the next block is built, so no two blocks coexist
-        del R, r, t, radial
+        del R, r2, keep, kept, row, t, radial
     return values, grads, degenerate
 
 
 def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     """Kernel values (and gradients) for a batch of Cartesian differences,
-    pair by pair: the reference path.
+    pair by pair: per pair, the direct images with |q+v| <= r_cut, and
+    every dual vector of the plan.
 
     Q has shape (n, d); rows should be min-imaged representatives.  Returns
     (values, grads, degenerate) where grads is None unless requested and

@@ -104,6 +104,13 @@ class Lattice:
         return _corner_radius(self.dual_basis)
 
     @functools.cached_property
+    def max_generator_norm(self):
+        """Norm of the longest generator: a gradient's fractional component,
+        its dot product with one generator, is at most this times the norm
+        of the Cartesian gradient."""
+        return float(np.max(np.linalg.norm(self.basis, axis=0)))
+
+    @functools.cached_property
     def _min_dual_norm(self):
         """min_dual_norm: the shortest dual generator is itself a candidate,
         so scanning the integer box of radius min(dual column norms) is

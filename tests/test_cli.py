@@ -132,6 +132,32 @@ def test_energy_payload_carries_abs_err_bound(tmp_path):
     assert abs(payload["energy"] - vd.riesz_1d_minimum(4, 2.0)) <= bound
 
 
+def test_energy_payload_carries_grad_abs_err_bound(tmp_path):
+    # with --gradient the payload adds EnergyReport.grad_abs_err_bound, and
+    # the gradient lies within it of a tol-1e-14 plan's; without it the
+    # payload has no such key
+    points = [[0.1, 0.7], [0.4, 0.2], [0.8, 0.5]]
+    pts = tmp_path / "points.json"
+    pts.write_text(json.dumps(points))
+    out = tmp_path / "energy.json"
+    argv = ["energy", "--lattice", "hex", "--potential", "logriesz:0.5",
+            "--points", str(pts), "--tol", "1e-8", "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert "grad_abs_err_bound" not in json.loads(out.read_text())
+    assert run_cli(argv + ["--gradient"]) == 0
+    payload = json.loads(out.read_text())
+    lat = lattice_preset("hex")
+    pot = kn.LogRiesz(0.5)
+    cfg = en.Configuration(lat, np.array(points))
+    plan = kn.plan_ewald(lat, pot, 1e-8)
+    rep = en.total_energy(cfg, pot, plan, with_gradient=True)
+    bound = payload["grad_abs_err_bound"]
+    assert bound == rep.grad_abs_err_bound > 0.0
+    tight = kn.plan_ewald(lat, pot, 1e-14, eta=plan.eta)
+    exact = en.total_energy(cfg, pot, tight, with_gradient=True).gradient
+    assert np.max(np.abs(np.array(payload["gradient"]) - exact)) <= bound
+
+
 def test_minimize_deterministic_output(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

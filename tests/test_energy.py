@@ -217,14 +217,15 @@ def test_structure_factor_energy_coincident_pair_and_one_point():
 def test_refinement_law(name, s):
     # the m-fold refinement of a unit-covolume lattice, N = m^d points, has
     # E = N(N-1) W + N(N^(s/d) - 1) zeta_Lambda(s), W = 2 pi^(d/2) /
-    # (Gamma(s/2)(d - s)), on the planner's default split
+    # (Gamma(s/2)(d - s)), on the planner's default split; up to N = 256 in
+    # d = 2 and N = 216 in d = 3
     lat = lattice_preset(name)
     d = lat.dimension
     pot = kn.Riesz(s)
     plan = kn.plan_ewald(lat, pot, 1e-12)
     w = 2.0 * math.pi ** (d / 2.0) / (math.gamma(s / 2.0) * (d - s))
     zeta = kn.epstein_zeta(lat, s)
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 16 if d == 2 else 6):
         n = m**d
         e = en.total_energy(en.Configuration.lattice_refinement(lat, m), pot,
                             plan).energy
@@ -407,7 +408,8 @@ def test_energies_match_reference():
     # total_energy value and gradient at N = 10 seeded random points, tol
     # 1e-10, eta 1 and 4, on the five presets for riesz 0.5/1/2.5, logriesz
     # 0.5/1/1.7, log and gaussian 0.5/3, written before each family owned
-    # its term formulas
+    # its term formulas; the rows the per-pair direct cut moved were written
+    # again under test_abs_err_bound_covers_reference_cases
     path = Path(__file__).parent / "data" / "energies_reference.json"
     cases = json.loads(path.read_text())["cases"]
     assert len(cases) == 90
@@ -430,7 +432,11 @@ def test_energies_match_reference():
 def test_abs_err_bound_covers_reference_cases():
     # abs_err_bound = N(N-1) times the plan's bound, and it covers the
     # distance to a tol-1e-15 plan's energy (at the rounding floor where
-    # that is higher) on the 90 reference configurations
+    # that is higher) on the 90 reference configurations.  So does
+    # grad_abs_err_bound for the gradient, up to a rounding allowance of
+    # 1e-15 max|grad E|: on Z1 logriesz:1.7 eta = 1 (max|grad E| 8e9, bound
+    # 1.3e-8) a change of summation order alone, same plan, moved the
+    # gradient by 1.2e-16 of max|grad E|
     path = Path(__file__).parent / "data" / "energies_reference.json"
     lats = {}
     for ref in json.loads(path.read_text())["cases"]:
@@ -441,9 +447,15 @@ def test_abs_err_bound_covers_reference_cases():
         plan = kn.plan_ewald(lat, pot, ref["tol"], eta=eta)
         tight = kn.plan_ewald(
             lat, pot, max(1e-15, kn._rounding_floor(lat, pot, eta)), eta=eta)
-        rep = en.total_energy(cfg, pot, plan)
+        rep = en.total_energy(cfg, pot, plan, with_gradient=True)
+        exact = en.total_energy(cfg, pot, tight, with_gradient=True)
         n = cfg.n_points
         assert rep.abs_err_bound == n * (n - 1) * plan.guaranteed_abs_err
+        assert rep.grad_abs_err_bound == (
+            2.0 * (n - 1) * float(np.max(np.linalg.norm(lat.basis, axis=0)))
+            * (plan.direct_grad_tail_bound + plan.dual_grad_tail_bound))
         where = f"{name} {ref['potential']} eta={eta}"
-        assert abs(rep.energy - en.total_energy(cfg, pot, tight).energy) <= (
-            rep.abs_err_bound), where
+        assert abs(rep.energy - exact.energy) <= rep.abs_err_bound, where
+        rounding = 1e-15 * np.max(np.abs(exact.gradient))
+        assert np.max(np.abs(rep.gradient - exact.gradient)) <= (
+            rep.grad_abs_err_bound + rounding), where

@@ -542,6 +542,32 @@ def test_evaluate_batch_memory_bounded_in_n():
     assert peak128 <= 1.25 * peak64
 
 
+def _energy_peak_bytes(n):
+    import tracemalloc
+
+    from perisum import energy as en
+    pot = kn.Riesz(1.0)
+    plan = kn.plan_ewald(Z3, pot, 1e-10)
+    cfg = en.Configuration.random(Z3, n, np.random.default_rng(n))
+    tracemalloc.start()
+    try:
+        en.total_energy(cfg, pot, plan, with_gradient=True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_total_energy_memory_bounded_in_n():
+    # the energy's pair arrays (differences, indices, gradients) grow as
+    # N^2, by a few dozen bytes a pair; the (pair, image) temporaries of the
+    # direct cut stay within a block
+    peak64 = _energy_peak_bytes(64)
+    peak128 = _energy_peak_bytes(128)  # four times the pair-images
+    assert peak64 < 64 * 2**20
+    assert peak128 < 64 * 2**20
+    assert peak128 <= 1.25 * peak64
+
+
 # ---------------------------------------------------------------------------
 # planner: closed-form tail bounds
 # ---------------------------------------------------------------------------
@@ -579,33 +605,40 @@ _SWEEP_POTENTIALS = (kn.Riesz(0.5), kn.Riesz(1.0), kn.Riesz(4.5),
 
 
 def _omitted_terms(plan, ref, Q):
-    """Sum, at each row of Q, of the terms ref keeps beyond plan: its shell
-    enumerations extend plan's, so these are the terms plan truncates,
-    less ref's own tail."""
+    """What plan's cuts leave out at each row of Q, less what ref's leave
+    out: the direct images of ref with plan.r_cut < |q + v| <= ref.r_cut
+    (each through the margin the direct sums put on r_cut) and the dual
+    vectors ref keeps beyond plan's.  Returns the sum of those terms and the
+    norm of the sum of their gradients, row by row."""
     pot, eta, d = plan.potential, plan.eta, plan.lattice.dimension
-    n_direct = plan.terms_direct
-    assert np.array_equal(ref.direct_vectors[:n_direct], plan.direct_vectors)
-    V = ref.direct_vectors[n_direct:]
-    r = np.linalg.norm(Q[:, None, :] + V[None, :, :], axis=2)
-    total = pot.direct_terms(eta, r)[0].sum(axis=1)
+    assert plan.r_cut <= ref.r_cut
+    R = Q[:, None, :] + ref.direct_vectors[None, :, :]
+    r2 = np.sum(R * R, axis=2)
+    out = ((r2 > (plan.r_cut * (1.0 + kn._CUT_MARGIN)) ** 2)
+           & (r2 <= (ref.r_cut * (1.0 + kn._CUT_MARGIN)) ** 2))
+    t, radial = pot.direct_terms(eta, np.sqrt(r2), want_grad=True)
+    total = np.where(out, t, 0.0).sum(axis=1)
+    grad = np.einsum("nv,nvk->nk", np.where(out, radial, 0.0), R)
     n_dual = plan.dual_vectors_half.shape[0]
     assert np.array_equal(ref.dual_vectors_half[:n_dual], plan.dual_vectors_half)
     W = ref.dual_vectors_half[n_dual:]
     if W.shape[0]:
         a = pot.dual_coeffs(eta, d, ref.dual_norms_half[n_dual:])
-        total += 2.0 * (np.cos(2.0 * math.pi * (Q @ W.T)) @ a)
-    return total
+        phase = 2.0 * math.pi * (Q @ W.T)
+        total += 2.0 * (np.cos(phase) @ a)
+        grad -= 4.0 * math.pi * ((np.sin(phase) * a) @ W)
+    return total, np.linalg.norm(grad, axis=1)
 
 
 @pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "hex", "fcc-like"])
 def test_tail_bounds_hold(name):
-    # every plan's actual truncation error is within its reported bound, at
-    # random min-imaged differences and at and next to a cell corner, where
-    # |q| is largest.  The error is measured against the same-eta plan at
-    # tol/1e3 (at the rounding floor where that is lower) as the terms that
-    # plan adds, so rounding in the terms both sums share does not enter.
-    # The potentials cover
-    # Gamma orders on both sides of 1 and below 0, E1 and the Gaussian.
+    # every plan's actual truncation error, of the value and of the
+    # gradient, is within its reported bound, at random min-imaged
+    # differences and at and next to a cell corner, where |q| is largest.
+    # The error is measured against the same-eta plan at tol/1e3 (at the
+    # rounding floor where that is lower) as the terms that plan adds, so
+    # rounding in the terms both sums share does not enter.  The potentials
+    # cover Gamma orders on both sides of 1 and below 0, E1 and the Gaussian.
     lat = lattice_preset(name)
     d = lat.dimension
     rng = np.random.default_rng(17)
@@ -621,9 +654,15 @@ def test_tail_bounds_hold(name):
                 assert plan.dual_tail_bound <= tol / 2
                 ref_tol = max(tol / 1e3, kn._rounding_floor(lat, pot, eta))
                 ref = kn.plan_ewald(lat, pot, ref_tol, eta)
-                err = float(np.max(np.abs(_omitted_terms(plan, ref, Q))))
+                err, grad_err = _omitted_terms(plan, ref, Q)
+                err = float(np.max(np.abs(err)))
                 assert err + ref.guaranteed_abs_err <= plan.guaranteed_abs_err, (
                     pot.label, eta, tol, err)
+                bound = plan.direct_grad_tail_bound + plan.dual_grad_tail_bound
+                ref_bound = ref.direct_grad_tail_bound + ref.dual_grad_tail_bound
+                assert math.isfinite(bound), (pot.label, eta, tol)
+                grad_err = float(np.max(grad_err))
+                assert grad_err + ref_bound <= bound, (pot.label, eta, tol, grad_err)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -644,34 +683,45 @@ def test_majorants_bound_terms(pot, d):
         bound = a * rho**p * np.exp(-x) * (1.0 + 4.0 * np.finfo(float).eps * (1.0 + x))
         assert np.all(np.abs(values(rho)) <= bound), r0
 
-    # only the Gaussian has no reciprocal side, and so no dual majorant
+    # only the Gaussian has no reciprocal side, and so no dual majorant.
+    # The gradient majorants bound |g'(r)| = |radial| r of a direct term
+    # and 2 pi k |a(k)| of a dual coefficient
     assert pot.split == (not isinstance(pot, kn.Gaussian))
     for eta in (0.25, 1.0, 4.0):
         for r0 in (0.6, 1.0, 1.7, 3.0):
             check(pot.direct_majorant(eta, r0),
                   lambda r: pot.direct_terms(eta, r)[0], r0)
+            check(pot.direct_grad_majorant(eta, r0),
+                  lambda r: r * pot.direct_terms(eta, r, want_grad=True)[1], r0)
             if pot.split:
                 check(pot.dual_majorant(eta, d, r0),
                       lambda k: pot.dual_coeffs(eta, d, k), r0)
+                check(pot.dual_grad_majorant(eta, d, r0),
+                      lambda k: 2.0 * math.pi * k * pot.dual_coeffs(eta, d, k), r0)
 
 
 def test_tail_bound_against_brute_force_count():
     # the counting bound against exact tails of a lattice sum of the
     # majorant itself, so only the counting and the Gamma inequalities are
-    # loose; radii below and above the cell's circumradius
+    # loose; radii below and above the cell's circumradius.  The rising
+    # majorant rho exp(-rho^2) (the Gaussian gradient's form) is bounded
+    # only from radius 1/sqrt(2), where it starts to decrease
     for name in ("Z1", "Z2", "hex", "fcc-like"):
         lat = lattice_preset(name)
         d, cell = lat.dimension, lat.half_cell_diameter
         vecs = enumerate_shells(lat, "direct", 12.0).vectors
         for f in (np.full(d, 0.5), np.full(d, 0.1)):
             rho = np.linalg.norm(lat.to_cartesian(f) + vecs, axis=1)
-            for a, p, alpha in ((1.0, 0.0, 1.0), (0.3, -2.0, 0.5)):
-                for radius in (0.2, 0.5, 1.0, 2.0, 3.0):
+            for a, p, alpha in ((1.0, 0.0, 1.0), (0.3, -2.0, 0.5),
+                                (2.0, 1.0, 1.0)):
+                for radius in (0.2, 0.5, 0.75, 1.0, 2.0, 3.0):
                     keep = rho > radius
                     exact = float(np.sum(a * rho[keep] ** p
                                          * np.exp(-alpha * rho[keep] ** 2)))
                     bound = kn._tail_bound((a, p, alpha), radius, cell, d)
                     assert exact <= bound, (name, radius, p)
+                    if p > 0 and radius < 0.75:
+                        assert bound == math.inf
 
 
 @pytest.mark.parametrize("name", ["Z2", "hex", "fcc-like"])
@@ -679,7 +729,9 @@ def test_plan_bounds_recompute_from_fields(name):
     # the recorded bounds are the closed forms at the plan's cutoffs, the
     # direct one counted with the lattice's cell and the dual one with the
     # dual lattice's, and each covers the sum of its majorant over the
-    # vectors the plan leaves out (the direct one at a cell corner)
+    # vectors the plan leaves out (the direct one at a cell corner).  The
+    # gradient bounds are taken at the same cutoffs and stay out of the
+    # plan's JSON
     lat = lattice_preset(name)
     d = lat.dimension
     q = lat.to_cartesian(np.full(d, 0.5))
@@ -693,6 +745,13 @@ def test_plan_bounds_recompute_from_fields(name):
             direct, plan.r_cut, lat.half_cell_diameter, d)
         assert plan.dual_tail_bound == kn._tail_bound(
             dual, plan.k_cut, lat.dual_half_cell_diameter, d)
+        assert plan.direct_grad_tail_bound == kn._tail_bound(
+            pot.direct_grad_majorant(eta, plan.r_cut), plan.r_cut,
+            lat.half_cell_diameter, d)
+        assert plan.dual_grad_tail_bound == kn._tail_bound(
+            pot.dual_grad_majorant(eta, d, plan.k_cut), plan.k_cut,
+            lat.dual_half_cell_diameter, d)
+        assert not any("grad" in key for key in plan.to_json_dict())
         for (a, p, alpha), rho, radius, bound in (
                 (direct, np.linalg.norm(q + vecs, axis=1), plan.r_cut,
                  plan.direct_tail_bound),
