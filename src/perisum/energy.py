@@ -13,6 +13,7 @@ parametrization the L-BFGS minimizer works in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -133,11 +134,19 @@ class GrowthRow:
     plan: kn.EwaldPlan = field(repr=False)
 
 
+@functools.lru_cache(maxsize=4)
+def _pair_indices(n):
+    """The read-only index arrays (j, k) of the pairs j < k of n points,
+    built once per n: a minimization asks for the same n on every call."""
+    j, k = np.triu_indices(n, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
+
+
 def _pair_differences(cfg):
     """Min-imaged Cartesian differences x_j - x_k for all pairs j < k."""
     f = cfg.points
-    n = f.shape[0]
-    j, k = np.triu_indices(n, 1)
+    j, k = _pair_indices(f.shape[0])
     dfrac = f[j] - f[k]
     dfrac -= np.round(dfrac)
     return j, k, cfg.lattice.to_cartesian(dfrac)
@@ -196,8 +205,8 @@ def energy_gradient(cfg, pot, plan):
 def _jitter_degenerate(lat, pts, rng):
     """Displace points of any too-close pair so descent starts finite."""
     n = pts.shape[0]
+    j, k = _pair_indices(n)
     for _ in range(40):
-        j, k = np.triu_indices(n, 1)
         dfrac = pts[j] - pts[k]
         dfrac -= np.round(dfrac)
         close = np.linalg.norm(dfrac, axis=1) < _JITTER_GAP
@@ -270,10 +279,12 @@ def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,
     Start 0 is the m-fold lattice refinement when n = m^d, the remaining
     starts are uniform on the torus; each restart has its own deterministic
     substream of the seed.  The winner is the lowest energy, ties broken by
-    restart index.
+    restart index.  The plan's eta is priced for energies of n points.
     """
-    return _minimize_on(kn.plan_ewald(lat, pot, tol), n, restarts, max_iters,
-                        seed, tol_grad, keep_trajectory)
+    if n < 2:
+        raise InvalidN("minimize needs at least two points")
+    return _minimize_on(kn.plan_ewald(lat, pot, tol, n_points=n), n, restarts,
+                        max_iters, seed, tol_grad, keep_trajectory)
 
 
 def _minimize_on(plan, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,

@@ -63,11 +63,12 @@ on t >= x.  Counting lattice points by cells of circumradius
 half_cell_diameter turns the majorant into a tail bound made of
 exponentials and powers (_tail_bound), and each cutoff is found by
 bisection on the value's bound; the gradient's bounds are recorded at the
-same cutoffs.  Without a given eta, plan_ewald takes the eta of
-1, 2, 4, ..., 128 that minimises a per-pair cost, the direct images plus
-_DUAL_TERM_COST times the dual terms, both counted in closed form from
-those cutoffs.  kernel_value(plan, x, y) is the one single-pair entry
-point.
+same cutoffs.  Without a given eta, plan_ewald takes the eta whose cost,
+counted in closed form from those cutoffs, is least: given the number of
+points N (n_points), the cost of one energy, N^2/2 pair-images plus N K/2
+structure-factor phases, over 1, 2, 4, ..., 4096; otherwise the per-pair
+cost, the direct images plus _DUAL_TERM_COST times the dual terms, over
+1, ..., 128.  kernel_value(plan, x, y) is the one single-pair entry point.
 """
 
 from __future__ import annotations
@@ -115,11 +116,19 @@ _CUT_MARGIN = 1e-12  # relative slack on r_cut in the direct sums
 _BLOCK_PAIR_IMAGES = 1 << 17
 # most vectors plan_ewald enumerates for one sum
 _SHELL_BUDGET = 500_000
-# the splits plan_ewald chooses from when no eta is given, and the cost of
-# one dual term relative to one direct image in the pairwise kernel
-# (evaluate_batch on many rows, measured 0.06-0.32 over the families)
-_ETA_LADDER = tuple(2.0**i for i in range(8))
+# the splits plan_ewald chooses from when no eta is given: 1, 2, ..., 128
+# for one pair, up to 4096 for an energy of n_points points
+_ETA_LADDER = tuple(2.0**i for i in range(13))
+_PAIR_RUNGS = 8
+# the cost of one dual term relative to one direct image in the pairwise
+# kernel (evaluate_batch on many rows, measured 0.06-0.32 over the families)
 _DUAL_TERM_COST = 0.1
+# in an energy, relative to one enumerated pair-image: one kept image's
+# direct term and one structure-factor phase (least squares over 1220
+# timed energy-and-gradient calls: Z1, Z2, Z3, hex x riesz 0.5, 1, 2.5,
+# logriesz 0.5, log x N = 8-128 x eta = 1-4096, tol 1e-12)
+_TERM_COST = 2.7
+_PHASE_COST = 1.9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -610,31 +619,49 @@ def _cutoffs(lat, pot, tol, eta, rel=1e-6):
     return r_cut, direct_tail, k_cut, dual_tail
 
 
-def _cheapest_eta(lat, pot, tol):
-    """The eta of _ETA_LADDER whose plan costs least per pair, D +
-    _DUAL_TERM_COST K, with D = V_d (r_cut + cell)^d direct images and K =
-    V_d k_cut^d dual terms counted in closed form (V_d, common to both, is
-    dropped).  The cutoffs are bisected to 1e-2 only: the rungs' costs
-    differ by far more.  A rung whose cutoff is out of reach, or that lies
-    below its own rounding floor, is skipped (the floors are taken cheapest
-    rung first, so usually once); if every rung is, the answer is 1, whose
-    plan then raises."""
+def _cheapest_eta(lat, pot, tol, n_points=None):
+    """The eta of _ETA_LADDER whose plan costs least, from cutoffs counted in
+    closed form (V_d, common to every count, is dropped).
+
+    Without n_points the cost is per pair, over the first _PAIR_RUNGS
+    rungs: D + _DUAL_TERM_COST K, with D = (r_cut + cell)^d direct images
+    and K = k_cut^d dual terms.  With n_points = N it is one energy
+    evaluation: P [(r_cut + cell)^d + _TERM_COST r_cut^d] + _PHASE_COST N
+    k_cut^d / 2 over P = N(N-1)/2 pairs, the pair-images whose |q+v|^2
+    _direct_sums builds, the kept ones it evaluates direct_terms on, and
+    the structure-factor phases of _dual_energy; the walk then stops once
+    the cost has risen on two rungs in a row.  The cutoffs are bisected to
+    1e-2 only: the rungs' costs differ by far more.  A rung whose cutoff is
+    out of reach, or that lies below its own rounding floor, is skipped
+    (the floors are taken cheapest rung first, so usually once); if every
+    rung is, the answer is 1, whose plan then raises."""
     d = lat.dimension
     cell = lat.half_cell_diameter
     costs = []
-    for eta in _ETA_LADDER:
+    rises = 0
+    ladder = _ETA_LADDER if n_points is not None else _ETA_LADDER[:_PAIR_RUNGS]
+    for eta in ladder:
         try:
             r_cut, _, k_cut, _ = _cutoffs(lat, pot, tol, eta, rel=1e-2)
         except UnreachableTolerance:
             continue
-        costs.append(((r_cut + cell) ** d + _DUAL_TERM_COST * k_cut**d, eta))
+        if n_points is None:
+            cost = (r_cut + cell) ** d + _DUAL_TERM_COST * k_cut**d
+        else:
+            pairs = 0.5 * n_points * (n_points - 1)
+            cost = (pairs * ((r_cut + cell) ** d + _TERM_COST * r_cut**d)
+                    + 0.5 * _PHASE_COST * n_points * k_cut**d)
+            rises = rises + 1 if costs and cost > costs[-1][0] else 0
+        costs.append((cost, eta))
+        if rises == 2:
+            break
     for _, eta in sorted(costs):
         if tol >= _rounding_floor(lat, pot, eta):
             return eta
     return 1.0
 
 
-def plan_ewald(lat, pot, tol, eta=None):
+def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
     """Choose truncation radii whose certified tail bounds are each at most
     tol/2.
 
@@ -650,24 +677,32 @@ def plan_ewald(lat, pot, tol, eta=None):
     records those bounds, and the gradient tail bounds of the families'
     gradient majorants at the same cutoffs.
 
-    eta=None lets a cost model choose the split (_cheapest_eta): of eta =
-    1, 2, 4, ..., 128 it takes the one with the fewest direct images plus
-    _DUAL_TERM_COST times the dual terms per pair, both counted in closed
-    form from the cutoffs, so only the chosen eta enumerates shells.  The
-    model has no N, so one plan serves every N.  The Gaussian, which has no
-    dual part, keeps eta = 1.  A given eta is used as it is.
+    eta=None lets a cost model choose the split (_cheapest_eta), from
+    counts taken in closed form from the cutoffs, so only the chosen eta
+    enumerates shells.  n_points, the number of points of the energies the
+    plan is for, describes the input: with it the model prices one energy
+    evaluation over eta = 1, 2, 4, ..., 4096 (the direct part costs N^2,
+    the structure factors N, so the best eta grows with N); without it, it
+    prices one pair over eta = 1, ..., 128, the fewest direct images plus
+    _DUAL_TERM_COST times the dual terms.  The Gaussian, which has no dual
+    part, keeps eta = 1.  A given eta is used as it is, whatever n_points.
 
     tol must be finite and positive and no smaller than the rounding floor
-    of the sum (_rounding_floor); eta must be finite and positive.  A cutoff
-    that would put more than _SHELL_BUDGET vectors inside its radius raises
-    UnreachableTolerance before any vector is enumerated, and a shell walk
-    whose integer box exceeds 2e7 points (a skewed basis) raises
-    InvalidParameter before building it.
+    of the sum (_rounding_floor); eta must be finite and positive, and
+    n_points an integer of at least 2.  A cutoff that would put more than
+    _SHELL_BUDGET vectors inside its radius raises UnreachableTolerance
+    before any vector is enumerated, and a shell walk whose integer box
+    exceeds 2e7 points (a skewed basis) raises InvalidParameter before
+    building it.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter(f"tol must be a positive finite number, got {tol}")
+    if n_points is not None and not (
+            isinstance(n_points, (int, np.integer)) and n_points >= 2):
+        raise InvalidParameter(
+            f"n_points must be an integer of at least 2, got {n_points!r}")
     if eta is None:
-        eta = _cheapest_eta(lat, pot, tol) if pot.split else 1.0
+        eta = _cheapest_eta(lat, pot, tol, n_points) if pot.split else 1.0
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidParameter(f"eta must be a positive finite number, got {eta}")
     floor = _rounding_floor(lat, pot, eta)

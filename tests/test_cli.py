@@ -278,9 +278,11 @@ def test_minimize_payload_matches_stored_output(tmp_path):
 
     for key in payload:
         assert close(payload[key], stored[key]), key
-    # the reused plan is the one a fresh plan_ewald call builds
+    # the reused plan is the one a fresh plan_ewald call builds for 4
+    # points (eta = 8; the per-pair plan takes 16, and the file was written
+    # again when minimize began pricing the split for its point count)
     z2 = lattice_preset("Z2")
-    fresh = kn.plan_ewald(z2, kn.Riesz(1.0), 1e-10)
+    fresh = kn.plan_ewald(z2, kn.Riesz(1.0), 1e-10, n_points=4)
     assert payload["plan"] == json.loads(json.dumps(fresh.to_json_dict()))
     # the points are path-dependent, their energy is not: both the payload's
     # and the gradient-descent points stored before carry best_energy
@@ -293,6 +295,14 @@ def test_minimize_payload_matches_stored_output(tmp_path):
                             kn.Riesz(1.0), fresh).energy
         assert abs(e - payload["best_energy"]) <= (
             1e-12 * abs(payload["best_energy"]))
+    # and best_energy is within its plan's bound of the energy of its
+    # points on a tol-1e-15 plan
+    rep = en.total_energy(en.Configuration(z2, np.array(payload["points"])),
+                          kn.Riesz(1.0), fresh)
+    tight = en.total_energy(en.Configuration(z2, np.array(payload["points"])),
+                            kn.Riesz(1.0), kn.plan_ewald(z2, kn.Riesz(1.0), 1e-15))
+    assert abs(payload["best_energy"] - tight.energy) <= (
+        rep.abs_err_bound + tight.abs_err_bound)
 
 
 def test_kernel_eval_gaussian_through_plan(tmp_path):

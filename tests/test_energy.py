@@ -266,6 +266,48 @@ def test_minimize_monotone_descent():
     assert np.all(np.diff(traj) <= 0.0)
 
 
+def test_minimize_plans_for_its_point_count():
+    # minimize prices the split for energies of its n points; the plan is
+    # the one plan_ewald builds with that count (Z1 riesz:0.5 at N = 32
+    # leaves the per-pair ladder, Z2 riesz:1 at N = 4 takes a smaller eta)
+    for lat, pot, n in ((Z1, kn.Riesz(0.5), 32), (Z2, kn.Riesz(1.0), 4)):
+        res = en.minimize(lat, pot, n, restarts=1, max_iters=0)
+        fresh = kn.plan_ewald(lat, pot, 1e-12, n_points=n)
+        assert res.plan.to_json_dict() == fresh.to_json_dict()
+        assert np.array_equal(res.plan.dual_coeffs_half, fresh.dual_coeffs_half)
+        assert res.plan.eta != _plan(lat, pot).eta
+
+
+@pytest.mark.parametrize("name", _PRESETS)
+def test_energy_on_point_count_plan_within_bounds(name):
+    # an energy on the plan priced for its point count (eta up to 4096)
+    # agrees with the energy on the per-pair plan within the two plans'
+    # bounds and the rounding of the terms (rel_accuracy times the sum of
+    # |terms| over the pairs, on either plan)
+    lat = lattice_preset(name)
+    n = 96 if lat.dimension < 3 else 40
+    rng = np.random.default_rng([21, _PRESETS.index(name)])
+    for text in _SF_POTENTIALS:
+        pot = kn.parse_potential(text)
+        cfg = en.Configuration.random(lat, n, rng)
+        priced = kn.plan_ewald(lat, pot, 1e-12, n_points=n)
+        pair = _plan(lat, pot)
+        a = en.total_energy(cfg, pot, priced, with_gradient=True)
+        b = en.total_energy(cfg, pot, pair, with_gradient=True)
+        _, _, Q = en._pair_differences(cfg)
+        rounding = 0.0
+        for plan in (priced, pair):
+            sums = np.empty(Q.shape[0])
+            kn.evaluate_batch(lat, pot, plan, Q, abs_sums=sums)
+            rounding += 2.0 * pot.rel_accuracy * float(sums.sum())
+        where = f"{name} {text} eta={priced.eta}"
+        assert abs(a.energy - b.energy) <= (
+            a.abs_err_bound + b.abs_err_bound + rounding), where
+        assert np.max(np.abs(a.gradient - b.gradient)) <= (
+            a.grad_abs_err_bound + b.grad_abs_err_bound
+            + 1e-10 * np.max(np.abs(b.gradient))), where
+
+
 def test_minimize_deterministic():
     a = en.minimize(Z2, kn.Riesz(1.0), 5, restarts=2, seed=9, max_iters=300)
     b = en.minimize(Z2, kn.Riesz(1.0), 5, restarts=2, seed=9, max_iters=300)

@@ -97,6 +97,33 @@ def test_plan_unreachable_tolerance(monkeypatch):
         kn.plan_ewald(Z2, kn.Riesz(0.5), 1e-12)
 
 
+def test_plan_n_points_must_be_a_count_of_at_least_two():
+    for bad in (1, 0, -3, 2.0, 16.5, True, "16", math.nan):
+        with pytest.raises(InvalidParameter):
+            kn.plan_ewald(Z1, kn.Riesz(0.5), 1e-12, n_points=bad)
+    # refused with a given eta too, which the count does not change
+    with pytest.raises(InvalidParameter):
+        kn.plan_ewald(Z1, kn.Riesz(0.5), 1e-12, 4.0, n_points=1)
+    plan = kn.plan_ewald(Z1, kn.Riesz(0.5), 1e-12, 4.0, n_points=np.int64(32))
+    assert plan.eta == 4.0
+
+
+def test_plan_eta_grows_with_the_point_count():
+    # the direct part of an energy costs N^2, the structure factors N, so
+    # the priced split does not fall as N grows and leaves the pair ladder
+    # (1 ... 128) in d = 1; without a count the per-pair choice is kept
+    for lat, pot in ((Z1, kn.Riesz(0.5)), (Z2, kn.Riesz(1.0)),
+                     (Z3, kn.LogRiesz(0.5)), (HEX, kn.Log())):
+        etas = [kn.plan_ewald(lat, pot, 1e-12, n_points=n).eta
+                for n in (2, 8, 32, 128, 1024)]
+        assert etas == sorted(etas), (pot.label, etas)
+        assert etas[-1] > etas[0], (pot.label, etas)
+        assert kn.plan_ewald(lat, pot, 1e-12).eta <= 128.0
+    assert kn.plan_ewald(Z1, kn.Riesz(0.5), 1e-12, n_points=1024).eta > 128.0
+    # the Gaussian has no split to price
+    assert kn.plan_ewald(Z2, kn.Gaussian(2.0), 1e-12, n_points=64).eta == 1.0
+
+
 def test_plan_mismatch_raised():
     plan = kn.plan_ewald(Z1, kn.Riesz(2.0), 1e-10)
     q = np.array([[0.5]])
@@ -639,6 +666,9 @@ def test_tail_bounds_hold(name):
     # rounding floor where that is lower) as the terms that plan adds, so
     # rounding in the terms both sums share does not enter.  The potentials
     # cover Gamma orders on both sides of 1 and below 0, E1 and the Gaussian.
+    # The split families also take the rungs above 128 that only a plan
+    # priced for a point count chooses, wherever the plan and its reference
+    # are within the shell budget and above their rounding floor.
     lat = lattice_preset(name)
     d = lat.dimension
     rng = np.random.default_rng(17)
@@ -646,14 +676,21 @@ def test_tail_bounds_hold(name):
     f = np.vstack([rng.uniform(-0.5, 0.5, (6, d)), corner, corner * (1 - 1e-9)])
     Q = lat.to_cartesian(f)
     assert np.all(np.linalg.norm(Q, axis=1) <= lat.half_cell_diameter * (1 + 1e-15))
+    high_rungs = kn._ETA_LADDER[kn._PAIR_RUNGS:]
+    swept_high = 0
     for pot in _SWEEP_POTENTIALS:
-        for eta in (0.25, 1.0, 4.0):
+        for eta in (0.25, 1.0, 4.0) + (high_rungs if pot.split else ()):
             for tol in (1e-6, 1e-10, 1e-12):
-                plan = kn.plan_ewald(lat, pot, tol, eta)
+                ref_tol = max(tol / 1e3, kn._rounding_floor(lat, pot, eta))
+                try:
+                    plan = kn.plan_ewald(lat, pot, tol, eta)
+                    ref = kn.plan_ewald(lat, pot, ref_tol, eta)
+                except UnreachableTolerance:
+                    assert eta in high_rungs, (pot.label, eta, tol)
+                    continue
+                swept_high += eta in high_rungs
                 assert plan.direct_tail_bound <= tol / 2
                 assert plan.dual_tail_bound <= tol / 2
-                ref_tol = max(tol / 1e3, kn._rounding_floor(lat, pot, eta))
-                ref = kn.plan_ewald(lat, pot, ref_tol, eta)
                 err, grad_err = _omitted_terms(plan, ref, Q)
                 err = float(np.max(np.abs(err)))
                 assert err + ref.guaranteed_abs_err <= plan.guaranteed_abs_err, (
@@ -663,6 +700,7 @@ def test_tail_bounds_hold(name):
                 assert math.isfinite(bound), (pot.label, eta, tol)
                 grad_err = float(np.max(grad_err))
                 assert grad_err + ref_bound <= bound, (pot.label, eta, tol, grad_err)
+    assert swept_high > 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
