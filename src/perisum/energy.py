@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as kn
-from .errors import DegenerateConfiguration, InvalidN, InvalidParameter
+from .errors import InvalidN, InvalidParameter
 from .lattice import Lattice
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "MinimizeResult",
     "GrowthRow",
     "total_energy",
-    "energy_gradient",
     "minimize",
     "growth_diagnostic",
 ]
@@ -191,15 +190,6 @@ def total_energy(cfg, pot, plan, with_gradient=False):
         gradient = gradient @ lat.basis
     return EnergyReport(energy, gradient, degenerate_pairs, plan, bound,
                         grad_bound)
-
-
-def energy_gradient(cfg, pot, plan):
-    """Gradient of the energy with respect to fractional coordinates."""
-    report = total_energy(cfg, pot, plan, with_gradient=True)
-    if not math.isfinite(report.energy):
-        raise DegenerateConfiguration(
-            f"infinite energy, degenerate pairs {report.degenerate_pairs}")
-    return report.gradient
 
 
 def _jitter_degenerate(lat, pts, rng):

@@ -38,10 +38,6 @@ class UnreachableTolerance(PerisumError):
     allows, or lies below the rounding floor of the sum."""
 
 
-class DegenerateConfiguration(PerisumError):
-    """Configuration contains a pair of points separated by a lattice vector."""
-
-
 class InvalidN(PerisumError):
     """Point count outside the operation's domain."""
 

@@ -470,11 +470,13 @@ def parse_potential(text):
 @dataclass(frozen=True, eq=False)
 class EwaldPlan:
     """Truncation radii with certified tail bounds for one (lattice,
-    potential, eta) combination.  Holds the enumerated shells and the dual
-    coefficients a(w) at the half dual vectors, so repeated evaluations
-    share them.  The two gradient tail bounds, on the norm of what the cuts
-    leave out of a kernel's gradient, are taken at the same r_cut and k_cut;
-    to_json_dict leaves them out."""
+    potential, eta) combination.  Holds the direct vectors, in the order
+    enumerate_shells gives them (origin in the middle), and the half dual
+    vectors (one of each sign pair +-w, origin dropped) with their norms
+    and coefficients a(w), so repeated evaluations share them.  The two
+    gradient tail bounds, on the norm of what the cuts leave out of a
+    kernel's gradient, are taken at the same r_cut and k_cut; to_json_dict
+    leaves them out."""
 
     lattice: Lattice
     potential: object
@@ -679,7 +681,7 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
 
     eta=None lets a cost model choose the split (_cheapest_eta), from
     counts taken in closed form from the cutoffs, so only the chosen eta
-    enumerates shells.  n_points, the number of points of the energies the
+    enumerates vectors.  n_points, the number of points of the energies the
     plan is for, describes the input: with it the model prices one energy
     evaluation over eta = 1, 2, 4, ..., 4096 (the direct part costs N^2,
     the structure factors N, so the best eta grows with N); without it, it
@@ -723,7 +725,8 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
     if len(direct) > _SHELL_BUDGET:
         raise UnreachableTolerance("direct shell count exceeds budget")
     dual = enumerate_shells(lat, "dual", k_cut)
-    wh, wn, _ = dual.half()
+    wh = dual[len(dual) // 2 + 1:]  # one of each sign pair, no origin
+    wn = np.linalg.norm(wh, axis=1)
     wa = pot.dual_coeffs(eta, d, wn) if pot.split else np.zeros(0)
 
     return EwaldPlan(
@@ -737,7 +740,7 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
         dual_tail_bound=float(dual_tail),
         direct_grad_tail_bound=float(direct_grad_tail),
         dual_grad_tail_bound=float(dual_grad_tail),
-        direct_vectors=direct.vectors,
+        direct_vectors=direct,
         dual_vectors_half=wh,
         dual_norms_half=wn,
         dual_coeffs_half=wa,
@@ -991,14 +994,15 @@ def epstein_hurwitz_zeta(lat, q, s, tol=1e-12):
 
 def epstein_zeta(lat, s, tol=1e-12):
     """Epstein zeta of the lattice (sum over nonzero v of |v|^-s), continued
-    to s != d; the plan's direct vectors past the first, the origin, are
-    summed and the origin term's finite part is removed by hand."""
+    to s != d; the plan's direct vectors but the middle one, the origin,
+    are summed and the origin term's finite part is removed by hand."""
     d = lat.dimension
     if abs(s - d) < 1e-10:
         raise PolePoint("Epstein zeta has its pole at s = d")
     pot = Riesz(s)
     plan = plan_ewald(lat, pot, tol, 1.0)
-    t, _ = pot.direct_terms(1.0, np.linalg.norm(plan.direct_vectors[1:], axis=1))
+    v = np.delete(plan.direct_vectors, len(plan.direct_vectors) // 2, axis=0)
+    t, _ = pot.direct_terms(1.0, np.linalg.norm(v, axis=1))
     direct = float(t.sum())
     dual = 2.0 * float(plan.dual_coeffs_half.sum())
     return (direct + dual - 1.0 / math.gamma(s / 2.0 + 1.0)

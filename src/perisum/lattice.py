@@ -1,10 +1,15 @@
-"""Unit-covolume Bravais lattices, their duals, and shell enumeration.
+"""Unit-covolume Bravais lattices, their duals, and one walk over their
+vectors.
 
 A lattice is the set {V k : k integer vector} for a nonsingular d x d basis
 matrix V whose columns are the generators.  Construction rescales any input
 basis so |det V| = 1; the dual basis is inv(V).T, whose columns generate the
 dual lattice (every dual generator has integer products with every direct
 generator).
+
+box_blocks is the one walk over lattice vectors: it covers the integer box
+around a ball in blocks of bounded size.  Order-free sums walk it directly,
+and enumerate_shells filters it to the ball for the Ewald plan.
 """
 
 from __future__ import annotations
@@ -20,12 +25,10 @@ from .errors import DimensionMismatch, InvalidParameter, SingularBasis
 
 __all__ = [
     "Lattice",
-    "ShellIterator",
     "lattice_from_basis",
     "lattice_preset",
     "enumerate_shells",
     "box_blocks",
-    "reduce_to_cell",
     "min_dual_norm",
     "PRESETS",
 ]
@@ -194,58 +197,32 @@ def _integer_box(lattice, which, radius):
     return basis, bound
 
 
-class ShellIterator:
-    """Lattice vectors with |v| <= max_radius, sorted by (norm, integer
-    coordinates lexicographically), so the origin comes first.
-
-    The ordering is a fixed total order, so the enumeration for a smaller
-    radius is always a prefix of the enumeration for a larger one.  It serves
-    the Ewald plan; order-free sums walk box_blocks.
-    """
-
-    def __init__(self, lattice, which, max_radius):
-        if max_radius < 0:
-            raise ValueError("max_radius must be >= 0")
-        basis, bound = _integer_box(lattice, which, max_radius)
-        d = lattice.dimension
-        axes = [np.arange(-b, b + 1) for b in bound]
-        grid = np.meshgrid(*axes, indexing="ij")
-        k = np.stack([g.reshape(-1) for g in grid], axis=1)
-        v = k @ basis.T
-        norms = np.linalg.norm(v, axis=1)
-        keep = norms <= max_radius * (1.0 + 1e-12) + 1e-300
-        k, v, norms = k[keep], v[keep], norms[keep]
-        order = np.lexsort(tuple(k[:, j] for j in range(d - 1, -1, -1)) + (norms,))
-        self.integer_coords = k[order]
-        self.vectors = v[order]
-        self.norms = norms[order]
-
-    def __len__(self):
-        return self.vectors.shape[0]
-
-    def half(self):
-        """Canonical half of the sign pairs +-v: keeps the vector whose first
-        nonzero integer coordinate is positive.  Drops the origin."""
-        k = self.integer_coords
-        nz = k != 0
-        first = np.argmax(nz, axis=1)
-        vals = k[np.arange(k.shape[0]), first]
-        keep = nz.any(axis=1) & (vals > 0)
-        return self.vectors[keep], self.norms[keep], self.integer_coords[keep]
-
-
 def enumerate_shells(lat, which, max_radius):
-    """Shell-ordered enumeration of direct or dual lattice vectors."""
-    return ShellIterator(lat, which, max_radius)
+    """The direct or dual lattice vectors v with |v| <= max_radius, an
+    (n, d) array, filtered from box_blocks in the order it walks the box:
+    the lexicographic order of the integer coordinates k.  The box and the
+    ball are symmetric and B(-k) is the exact negation of B k, so the
+    origin is the middle row, row n-1-i is the negation of row i, and the
+    rows after the middle are the k whose first nonzero coordinate is
+    positive, one of each sign pair."""
+    if max_radius < 0:
+        raise ValueError("max_radius must be >= 0")
+    limit = max_radius * (1.0 + 1e-12) + 1e-300
+    kept = []
+    for block in box_blocks(lat, which, max_radius):
+        v = np.stack([c.reshape(-1) for c in block], axis=1)
+        kept.append(v[np.linalg.norm(v, axis=1) <= limit])
+    return np.concatenate(kept)
 
 
 def box_blocks(lat, which, radius):
-    """The integer box that enumerate_shells cuts its ball |B k| <= radius
-    from, for order-free sums of terms that are small outside the ball:
-    a generator of blocks, each the d coordinate arrays of B k over at most
-    _BOX_BLOCK integer points k, unsorted and unfiltered, that together
-    cover the box once.  _integer_box refuses a box of more than 2e7 points
-    here, before any block is built."""
+    """The integer box that holds the ball |B k| <= radius, as a generator
+    of blocks, each the d coordinate arrays of B k over at most _BOX_BLOCK
+    integer points k, unfiltered, that together cover the box once in the
+    lexicographic order of k.  Order-free sums of terms that are small
+    outside the ball walk it directly; enumerate_shells cuts the ball from
+    it.  _integer_box refuses a box of more than 2e7 points here, before
+    any block is built."""
     return _box_walk(*_integer_box(lat, which, radius))
 
 
@@ -273,14 +250,6 @@ def _box_walk(basis, bound):
             hi = min(lo + step, bound[j] + 1)
             run = np.arange(lo, hi, dtype=float).reshape(run_shape)
             yield [row[j] * run + t for row, t in zip(basis, part)]
-
-
-def reduce_to_cell(lat, x):
-    """Translate x by a lattice vector into the half-open fundamental cell."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
-    return lat.to_cartesian(lat.reduce_frac(lat.to_fractional(x)))
 
 
 def min_dual_norm(lat):

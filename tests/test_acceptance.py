@@ -296,7 +296,7 @@ def test_criterion_9_gradients():
         n = int(rng.integers(2, 9))
         cfg = en.Configuration.random(lat, n, rng)
         cfg = en.Configuration(lat, en._jitter_degenerate(lat, cfg.points, rng))
-        g = en.energy_gradient(cfg, pot, plan)
+        g = en.total_energy(cfg, pot, plan, with_gradient=True).gradient
         h = 1e-6
         eps = float(np.finfo(float).eps)
 

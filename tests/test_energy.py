@@ -8,7 +8,7 @@ import pytest
 from perisum import energy as en
 from perisum import kernel as kn
 from perisum import validate as vd
-from perisum.errors import DegenerateConfiguration, InvalidN, InvalidParameter
+from perisum.errors import InvalidN, InvalidParameter
 from perisum.lattice import lattice_preset
 
 Z1 = lattice_preset("Z1")
@@ -57,8 +57,8 @@ def test_duplicate_points_infinite():
     rep = en.total_energy(cfg, pot, _plan(Z2, pot))
     assert rep.energy == math.inf
     assert rep.degenerate_pairs == [(0, 1)]
-    with pytest.raises(DegenerateConfiguration):
-        en.energy_gradient(cfg, pot, _plan(Z2, pot))
+    rep = en.total_energy(cfg, pot, _plan(Z2, pot), with_gradient=True)
+    assert rep.energy == math.inf and rep.gradient is None
 
 
 def test_gaussian_energy_finite_with_duplicates():
@@ -95,14 +95,14 @@ def test_gradient_zero_at_equally_spaced():
     for s in (0.5, 2.0):
         pot = kn.Riesz(s)
         cfg = en.Configuration.equally_spaced(Z1, 6)
-        g = en.energy_gradient(cfg, pot, _plan(Z1, pot))
+        g = en.total_energy(cfg, pot, _plan(Z1, pot), with_gradient=True).gradient
         assert np.max(np.abs(g)) < 1e-9
 
 
 def test_gradient_antisymmetric_pair():
     pot = kn.Riesz(1.0)
     cfg = en.Configuration(Z2, np.array([[0.0, 0.0], [0.45, 0.55]]))
-    g = en.energy_gradient(cfg, pot, _plan(Z2, pot))
+    g = en.total_energy(cfg, pot, _plan(Z2, pot), with_gradient=True).gradient
     assert np.allclose(g[0], -g[1], atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_gradient_rows_sum_to_zero():
     plan = _plan(Z2, pot)
     for _ in range(5):
         cfg = en.Configuration.random(Z2, 6, rng)
-        g = en.energy_gradient(cfg, pot, plan)
+        g = en.total_energy(cfg, pot, plan, with_gradient=True).gradient
         assert np.max(np.abs(g.sum(axis=0))) <= 1e-9
 
 
@@ -121,7 +121,7 @@ def test_gradient_matches_finite_differences():
     pot = kn.Riesz(1.0)
     plan = _plan(Z2, pot)
     cfg = en.Configuration.random(Z2, 5, rng)
-    g = en.energy_gradient(cfg, pot, plan)
+    g = en.total_energy(cfg, pot, plan, with_gradient=True).gradient
     h = 1e-6
     for i in range(5):
         for mu in range(2):
@@ -450,8 +450,9 @@ def test_energies_match_reference():
     # total_energy value and gradient at N = 10 seeded random points, tol
     # 1e-10, eta 1 and 4, on the five presets for riesz 0.5/1/2.5, logriesz
     # 0.5/1/1.7, log and gaussian 0.5/3, written before each family owned
-    # its term formulas; the rows the per-pair direct cut moved were written
-    # again under test_abs_err_bound_covers_reference_cases
+    # its term formulas; the rows the per-pair direct cut moved, and the
+    # gaussian 0.5 rows the box order of the plan's vectors moved, were
+    # written again under test_abs_err_bound_covers_reference_cases
     path = Path(__file__).parent / "data" / "energies_reference.json"
     cases = json.loads(path.read_text())["cases"]
     assert len(cases) == 90

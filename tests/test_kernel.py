@@ -411,10 +411,10 @@ def test_poisson_identity_random():
     for omega in (0.5, 1.0, 4.0):
         x = rng.random(1)
         r = math.sqrt(46.0 / omega) + 1.0
-        n = enumerate_shells(Z1, "direct", r).vectors
+        n = enumerate_shells(Z1, "direct", r)
         lhs = float(np.exp(-omega * (x[0] + n[:, 0]) ** 2).sum())
         k = math.sqrt(46.0 * omega) / math.pi + 1.0
-        w = enumerate_shells(Z1, "dual", k).vectors
+        w = enumerate_shells(Z1, "dual", k)
         rhs = (math.pi / omega) ** 0.5 * float(
             np.sum(np.cos(2 * math.pi * w[:, 0] * x[0])
                    * np.exp(-math.pi**2 * w[:, 0] ** 2 / omega)))
@@ -634,9 +634,11 @@ _SWEEP_POTENTIALS = (kn.Riesz(0.5), kn.Riesz(1.0), kn.Riesz(4.5),
 def _omitted_terms(plan, ref, Q):
     """What plan's cuts leave out at each row of Q, less what ref's leave
     out: the direct images of ref with plan.r_cut < |q + v| <= ref.r_cut
-    (each through the margin the direct sums put on r_cut) and the dual
-    vectors ref keeps beyond plan's.  Returns the sum of those terms and the
-    norm of the sum of their gradients, row by row."""
+    (each through the margin the direct sums put on r_cut) and the half
+    dual vectors of ref beyond plan.k_cut (through the margin the walk
+    puts on its radius), whose complement is exactly plan's.  Returns the
+    sum of those terms and the norm of the sum of their gradients, row by
+    row."""
     pot, eta, d = plan.potential, plan.eta, plan.lattice.dimension
     assert plan.r_cut <= ref.r_cut
     R = Q[:, None, :] + ref.direct_vectors[None, :, :]
@@ -646,11 +648,11 @@ def _omitted_terms(plan, ref, Q):
     t, radial = pot.direct_terms(eta, np.sqrt(r2), want_grad=True)
     total = np.where(out, t, 0.0).sum(axis=1)
     grad = np.einsum("nv,nvk->nk", np.where(out, radial, 0.0), R)
-    n_dual = plan.dual_vectors_half.shape[0]
-    assert np.array_equal(ref.dual_vectors_half[:n_dual], plan.dual_vectors_half)
-    W = ref.dual_vectors_half[n_dual:]
+    beyond = ref.dual_norms_half > plan.k_cut * (1.0 + 1e-12)
+    assert np.count_nonzero(~beyond) == plan.terms_dual // 2
+    W = ref.dual_vectors_half[beyond]
     if W.shape[0]:
-        a = pot.dual_coeffs(eta, d, ref.dual_norms_half[n_dual:])
+        a = pot.dual_coeffs(eta, d, ref.dual_norms_half[beyond])
         phase = 2.0 * math.pi * (Q @ W.T)
         total += 2.0 * (np.cos(phase) @ a)
         grad -= 4.0 * math.pi * ((np.sin(phase) * a) @ W)
@@ -747,7 +749,7 @@ def test_tail_bound_against_brute_force_count():
     for name in ("Z1", "Z2", "hex", "fcc-like"):
         lat = lattice_preset(name)
         d, cell = lat.dimension, lat.half_cell_diameter
-        vecs = enumerate_shells(lat, "direct", 12.0).vectors
+        vecs = enumerate_shells(lat, "direct", 12.0)
         for f in (np.full(d, 0.5), np.full(d, 0.1)):
             rho = np.linalg.norm(lat.to_cartesian(f) + vecs, axis=1)
             for a, p, alpha in ((1.0, 0.0, 1.0), (0.3, -2.0, 0.5),
@@ -773,8 +775,8 @@ def test_plan_bounds_recompute_from_fields(name):
     lat = lattice_preset(name)
     d = lat.dimension
     q = lat.to_cartesian(np.full(d, 0.5))
-    vecs = enumerate_shells(lat, "direct", 15.0).vectors
-    duals = enumerate_shells(lat, "dual", 15.0).norms[1:]  # origin first
+    vecs = enumerate_shells(lat, "direct", 15.0)
+    duals = np.linalg.norm(enumerate_shells(lat, "dual", 15.0), axis=1)
     for pot, eta in ((kn.Riesz(1.0), 1.0), (kn.Log(), 4.0), (kn.LogRiesz(0.5), 0.25)):
         plan = kn.plan_ewald(lat, pot, 1e-6, eta)
         direct = pot.direct_majorant(eta, plan.r_cut)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -15,7 +16,6 @@ from perisum.lattice import (
     lattice_from_basis,
     lattice_preset,
     min_dual_norm,
-    reduce_to_cell,
 )
 
 
@@ -57,24 +57,36 @@ def test_non_square_rejected():
         lattice_from_basis([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-def test_shells_z2_radius_1_5():
-    lat = lattice_preset("Z2")
-    shells = enumerate_shells(lat, "direct", 1.5)
-    assert len(shells) == 9
-    assert np.allclose(shells.norms,
-                       [0, 1, 1, 1, 1] + [math.sqrt(2)] * 4)
-    # ties broken lexicographically on integer coordinates
-    expected = [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0),
-                (-1, -1), (-1, 1), (1, -1), (1, 1)]
-    assert [tuple(k) for k in shells.integer_coords] == expected
+_SHEARED = {"sheared-2": [[1.0, 2.0], [0.0, 1.0]],
+            "sheared-3": [[1.0, 7.0, 3.0], [0.0, 1.0, 5.0], [0.0, 0.0, 1.0]]}
 
 
-def test_shells_z1_exclude_origin():
-    # the origin comes first; dropping it leaves the sign pairs by norm
-    lat = lattice_preset("Z1")
-    shells = enumerate_shells(lat, "direct", 3.2)
-    assert int(shells.integer_coords[0, 0]) == 0 and shells.norms[0] == 0.0
-    assert [int(k) for k in shells.integer_coords[1:, 0]] == [-1, 1, -2, 2, -3, 3]
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(_SHEARED))
+@pytest.mark.parametrize("which", ["direct", "dual"])
+def test_shells_are_the_ball_in_sign_pairs(name, which):
+    # the rows are the ball's vectors, an odd number with the origin in the
+    # middle, each row after the middle the exact negation of its mirror
+    # before it, and the rows after the middle the k whose first nonzero
+    # coordinate is positive: the half a plan keeps of the dual vectors
+    lat = lattice_from_basis(_SHEARED.get(name, PRESETS.get(name)))
+    basis = lat.basis if which == "direct" else lat.dual_basis
+    for radius in (0.0, 1.0, 2.5):
+        v = enumerate_shells(lat, which, radius)
+        n = v.shape[0]
+        assert v.shape == (n, lat.dimension) and n % 2 == 1
+        # oracle: every integer k of a box that holds the ball
+        half = np.ceil(np.linalg.norm(np.linalg.inv(basis), axis=1) * radius) + 1
+        box = np.array(list(itertools.product(
+            *[range(-int(h), int(h) + 1) for h in half])), dtype=float)
+        ball = box[np.linalg.norm(box @ basis.T, axis=1) <= radius * (1 + 1e-12)]
+        assert n == ball.shape[0], (radius, n, ball.shape[0])
+        mid = n // 2
+        assert not v[mid].any()
+        assert np.array_equal(v[mid + 1:], -v[:mid][::-1])
+        k = np.rint(np.linalg.solve(basis, v[mid + 1:].T).T)
+        first = ball[np.arange(ball.shape[0]), np.argmax(ball != 0, axis=1)]
+        assert {tuple(r) for r in k} == {tuple(r) for r in ball[first > 0]}
+        assert len(k) == len(ball[first > 0]) == (n - 1) // 2
 
 
 def _stacked_blocks(lat, which, radius):
@@ -92,8 +104,7 @@ def test_box_vectors_cover_the_shells(name, which):
         box = np.concatenate(_stacked_blocks(lat, which, radius))
         _, bound = _integer_box(lat, which, radius)
         assert box.shape[0] == np.prod(2 * bound + 1)
-        shells = enumerate_shells(lat, which, radius)
-        for v in shells.vectors:
+        for v in enumerate_shells(lat, which, radius):
             dist = np.max(np.abs(box - v), axis=1)
             assert np.count_nonzero(dist <= 1e-12) == 1, (radius, v)
 
@@ -145,22 +156,6 @@ def test_hex_dual_count_matches_integer_box_scan():
     assert len(shells) == count
 
 
-def test_shell_prefix_property():
-    lat = lattice_preset("hex")
-    small = enumerate_shells(lat, "direct", 2.0)
-    large = enumerate_shells(lat, "direct", 3.5)
-    n = len(small)
-    assert np.array_equal(small.integer_coords, large.integer_coords[:n])
-
-
-def test_reduce_examples():
-    z2 = lattice_preset("Z2")
-    assert np.allclose(reduce_to_cell(z2, np.array([1.25, -0.5])),
-                       [0.25, 0.5], atol=1e-14)
-    z1 = lattice_preset("Z1")
-    assert reduce_to_cell(z1, np.array([3.0]))[0] == 0.0
-
-
 def test_reduce_frac_bitwise_idempotent():
     lat = lattice_preset("hex")
     rng = np.random.default_rng(0)
@@ -169,22 +164,6 @@ def test_reduce_frac_bitwise_idempotent():
     twice = lat.reduce_frac(once)
     assert np.array_equal(once, twice)
     assert np.all((once >= 0.0) & (once < 1.0))
-
-
-def test_reduce_difference_is_lattice_vector():
-    lat = lattice_preset("hex")
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        x = rng.uniform(-4, 4, size=2)
-        y = reduce_to_cell(lat, x)
-        k = lat.to_fractional(y - x)
-        assert np.max(np.abs(k - np.round(k))) <= 1e-12
-
-
-def test_reduce_rejects_nonfinite():
-    lat = lattice_preset("Z2")
-    with pytest.raises(ValueError):
-        reduce_to_cell(lat, np.array([np.inf, 0.0]))
 
 
 def test_min_dual_norm():
