@@ -25,7 +25,7 @@ from . import energy as en
 from . import kernel as kn
 from . import specfun as sf
 from . import validate as vd
-from .errors import PerisumError, UsageError
+from .errors import InvalidParameter, PerisumError, UsageError
 from .lattice import Lattice, PRESETS, lattice_from_basis, lattice_preset
 
 _DEFAULT_TOL = 1e-10
@@ -300,14 +300,24 @@ def _cmd_specfun_eval(args):
         arglist = [float(v) for v in args.args.split(",") if v != ""]
     except ValueError:
         raise UsageError(f"--args expects comma-separated numbers, got {args.args!r}")
+    # JSON has no NaN: a NaN argument or value is refused, and an infinity
+    # is written as the text "inf" or "-inf"
+    if any(math.isnan(v) for v in arglist):
+        raise InvalidParameter(f"{args.fn} takes no NaN argument, got {args.args!r}")
     try:
-        val = fn(*arglist)
+        val = float(fn(*arglist))
     except TypeError as exc:
         raise UsageError(f"bad arguments for {args.fn}: {exc}")
-    payload = {"fn": args.fn, "args": arglist, "value": float(val),
-               **_provenance()}
+    if math.isnan(val):
+        raise InvalidParameter(f"{args.fn} cannot be evaluated at {args.args!r}")
+    payload = {"fn": args.fn, "args": [_finite_or_text(v) for v in arglist],
+               "value": _finite_or_text(val), **_provenance()}
     _write_output(payload, args.out)
     return 0
+
+
+def _finite_or_text(v):
+    return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
 
 
 _DISPATCH = {

@@ -142,6 +142,18 @@ def _pair_indices(n):
     return j, k
 
 
+@functools.lru_cache(maxsize=4)
+def _scatter_index(n, d):
+    """The read-only flat index ends[i] * d + c, ends = [j; k] over the
+    pairs j < k of n points, that scatters entry (i, c) of the (2P, d)
+    pair gradients into an (n, d) array.  Built once per (n, d), as
+    _pair_indices is."""
+    j, k = _pair_indices(n)
+    index = (np.concatenate([j, k])[:, None] * d + np.arange(d)).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def _pair_differences(cfg):
     """Min-imaged Cartesian differences x_j - x_k for all pairs j < k."""
     f = cfg.points
@@ -169,24 +181,31 @@ def total_energy(cfg, pot, plan, with_gradient=False):
                   * (plan.direct_grad_tail_bound + plan.dual_grad_tail_bound))
     j, k, Q = _pair_differences(cfg)
     direct, grads, degen = kn._direct_sums(plan, Q, with_gradient)
-    degenerate_pairs = [(int(a), int(b)) for a, b in zip(j[degen], k[degen])]
-    if pot.singular and degen.any():
-        return EnergyReport(math.inf, None, degenerate_pairs, plan, bound,
-                            grad_bound)
+    degenerate_pairs = []
+    if degen.any():
+        degenerate_pairs = [(int(a), int(b)) for a, b in zip(j[degen], k[degen])]
+        if pot.singular:
+            return EnergyReport(math.inf, None, degenerate_pairs, plan, bound,
+                                grad_bound)
+        if with_gradient:
+            grads[degen] = 0.0
     dual, gradient = kn._dual_energy(plan, cfg.cartesian(), with_gradient)
     # the constant joins each pair's direct sum before the pairs are summed,
     # as in the pairwise kernel: for the Gaussian it nearly cancels them
-    direct += pot.eta_constant(plan.eta, lat.dimension)
+    direct += plan.eta_constant
     energy = 2.0 * float(direct.sum()) + dual
     if with_gradient:
         # pair term 2 D(x_j - x_k): +2 grad to row j, -2 grad to row k, on
-        # top of the reciprocal gradient; then the chain rule into
+        # top of the reciprocal gradient, in one bincount that adds into
+        # each entry in pair order, rows j first; then the chain rule into
         # fractional coordinates
-        grads[degen] = 0.0
-        ends = np.concatenate([j, k])
-        pair_grads = 2.0 * np.concatenate([grads, -grads])
-        for c in range(lat.dimension):
-            gradient[:, c] += np.bincount(ends, pair_grads[:, c], n)
+        d = lat.dimension
+        p = grads.shape[0]
+        pair_grads = np.empty((2 * p, d))
+        np.multiply(grads, 2.0, out=pair_grads[:p])
+        np.multiply(grads, -2.0, out=pair_grads[p:])
+        gradient += np.bincount(_scatter_index(n, d), pair_grads.reshape(-1),
+                                n * d).reshape(n, d)
         gradient = gradient @ lat.basis
     return EnergyReport(energy, gradient, degenerate_pairs, plan, bound,
                         grad_bound)
@@ -236,9 +255,10 @@ def _relax(plan, pts0, max_iters, tol_grad):
         last[0] = rep.energy
         if not traj:
             traj.append(rep.energy)
-        if rep.gradient is None:
-            # a coincident pair: +inf fails every sufficient-decrease test,
-            # so the line search never accepts this trial
+        if rep.gradient is None or not math.isfinite(rep.energy):
+            # a coincident pair, or terms beyond double precision (r^-s at
+            # exponents of a few hundred): +inf fails every sufficient-
+            # decrease test, so the line search never accepts this trial
             return math.inf, np.zeros(x.size)
         return rep.energy, rep.gradient.ravel()
 

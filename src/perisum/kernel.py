@@ -33,9 +33,11 @@ r^2), r^-s and exp(-eta r^2) (and, for log-Riesz, log r and the (Gamma,
 d/dsigma Gamma) pair) are computed once and serve both the value and the
 gradient.  An energy sums the direct part pair by pair through the same
 blocks but takes the reciprocal part from structure factors
-(_dual_energy), in O(N K) for N points and K dual vectors.  Q(1/2, x) =
+(_dual_energy), in O(N K) for N points and K dual vectors; both add the
+splitting constant the plan holds (EwaldPlan.eta_constant).  Q(1/2, x) =
 erfc(sqrt x), the d = 3 Coulomb case, is taken from specfun without
-scipy's general incomplete gamma.  kernel_value's bound adds to the plan's
+scipy's general incomplete gamma, and so is Q(sigma, x) at 0 < sigma < 1
+below x = 1.5, from a power series.  kernel_value's bound adds to the plan's
 truncation bound the family's rel_accuracy times the sum of |terms|, which
 evaluate_batch accumulates in the same pass.
 
@@ -205,13 +207,13 @@ class Riesz(_Split):
     s: float
     singular = True
     # relative accuracy of each term (at x <= 40; test_term_accuracy):
-    # gammaincc (sigma > 0) and gamma_upper_vec (sigma <= 0) are within
-    # 3.6e-14 of mpmath, and the terms were measured within 1.1e-14
+    # gamma_upper_reg_vec (sigma > 0) and gamma_upper_vec (sigma <= 0) are
+    # within 3.6e-14 of mpmath, and the terms were measured within 1.1e-14
     rel_accuracy = 4e-14
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("Riesz exponent s must be positive")
+        if not 0.0 < self.s < math.inf:
+            raise InvalidParameter("Riesz exponent s must be positive and finite")
 
     @property
     def label(self):
@@ -283,8 +285,8 @@ class LogRiesz(_Split):
     rel_accuracy = 1e-13
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("LogRiesz exponent s must be positive")
+        if not 0.0 < self.s < math.inf:
+            raise InvalidParameter("LogRiesz exponent s must be positive and finite")
 
     @property
     def label(self):
@@ -415,8 +417,9 @@ class Gaussian:
     rel_accuracy = 1e-14
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("Gaussian width parameter c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise InvalidParameter(
+                "Gaussian width parameter c must be positive and finite")
 
     @property
     def label(self):
@@ -473,10 +476,11 @@ class EwaldPlan:
     potential, eta) combination.  Holds the direct vectors, in the order
     enumerate_shells gives them (origin in the middle), and the half dual
     vectors (one of each sign pair +-w, origin dropped) with their norms
-    and coefficients a(w), so repeated evaluations share them.  The two
-    gradient tail bounds, on the norm of what the cuts leave out of a
-    kernel's gradient, are taken at the same r_cut and k_cut; to_json_dict
-    leaves them out."""
+    and coefficients a(w), and the splitting constant eta_constant, the
+    potential's eta_constant(eta, d), so repeated evaluations share them.
+    The two gradient tail bounds, on the norm of what the cuts leave out of
+    a kernel's gradient, are taken at the same r_cut and k_cut;
+    to_json_dict leaves them and the constant out."""
 
     lattice: Lattice
     potential: object
@@ -488,6 +492,7 @@ class EwaldPlan:
     dual_tail_bound: float
     direct_grad_tail_bound: float
     dual_grad_tail_bound: float
+    eta_constant: float
     direct_vectors: np.ndarray = field(repr=False)
     dual_vectors_half: np.ndarray = field(repr=False)
     dual_norms_half: np.ndarray = field(repr=False)
@@ -570,20 +575,26 @@ def _tail_bound(majorant, radius, cell, d):
 def _cutoff(tail, target, r_max, which, rel=1e-6):
     """Bisect for the smallest radius (to rel relative) at which tail(radius)
     <= target; returns the radius and its tail.  A NaN or infinite tail
-    counts as missing the target."""
-    lo, hi = 0.0, 1.0
-    while not tail(hi) <= target:
-        if hi >= r_max:
-            raise UnreachableTolerance(
-                f"{which} cutoff for a tail of {target:g} exceeds the shell budget")
-        lo, hi = hi, min(2.0 * hi, r_max)
-    while hi - lo > rel * hi:
-        mid = 0.5 * (lo + hi)
-        if tail(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi, tail(hi)
+    counts as missing the target, and a tail whose majorant overflows
+    (exponents s of a few hundred) makes the cutoff unreachable."""
+    try:
+        lo, hi = 0.0, 1.0
+        while not tail(hi) <= target:
+            if hi >= r_max:
+                raise UnreachableTolerance(
+                    f"{which} cutoff for a tail of {target:g} exceeds the "
+                    "shell budget")
+            lo, hi = hi, min(2.0 * hi, r_max)
+        while hi - lo > rel * hi:
+            mid = 0.5 * (lo + hi)
+            if tail(mid) <= target:
+                hi = mid
+            else:
+                lo = mid
+        return hi, tail(hi)
+    except OverflowError:
+        raise UnreachableTolerance(
+            f"{which} tail bound overflows double precision") from None
 
 
 def _rounding_floor(lat, pot, eta):
@@ -692,10 +703,11 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
     tol must be finite and positive and no smaller than the rounding floor
     of the sum (_rounding_floor); eta must be finite and positive, and
     n_points an integer of at least 2.  A cutoff that would put more than
-    _SHELL_BUDGET vectors inside its radius raises UnreachableTolerance
-    before any vector is enumerated, and a shell walk whose integer box
-    exceeds 2e7 points (a skewed basis) raises InvalidParameter before
-    building it.
+    _SHELL_BUDGET vectors inside its radius, or a term magnitude or bound
+    beyond double precision (exponents of a few hundred), raises
+    UnreachableTolerance before any vector is enumerated, and a shell walk
+    whose integer box exceeds 2e7 points (a skewed basis) raises
+    InvalidParameter before building it.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameter(f"tol must be a positive finite number, got {tol}")
@@ -707,19 +719,24 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
         eta = _cheapest_eta(lat, pot, tol, n_points) if pot.split else 1.0
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidParameter(f"eta must be a positive finite number, got {eta}")
-    floor = _rounding_floor(lat, pot, eta)
-    if tol < floor:
-        raise UnreachableTolerance(
-            f"tol={tol:g} is below the rounding floor {floor:.2g} of the sum")
-    r_cut, direct_tail, k_cut, dual_tail = _cutoffs(lat, pot, tol, eta)
     d = lat.dimension
     cell = lat.half_cell_diameter
-    direct_grad_tail = _tail_bound(pot.direct_grad_majorant(eta, r_cut),
-                                   r_cut, cell, d)
-    dual_grad_tail = 0.0
-    if pot.split:
-        dual_grad_tail = _tail_bound(pot.dual_grad_majorant(eta, d, k_cut),
-                                     k_cut, lat.dual_half_cell_diameter, d)
+    try:
+        floor = _rounding_floor(lat, pot, eta)
+        if tol < floor:
+            raise UnreachableTolerance(
+                f"tol={tol:g} is below the rounding floor {floor:.2g} of the sum")
+        r_cut, direct_tail, k_cut, dual_tail = _cutoffs(lat, pot, tol, eta)
+        direct_grad_tail = _tail_bound(pot.direct_grad_majorant(eta, r_cut),
+                                       r_cut, cell, d)
+        dual_grad_tail = 0.0
+        if pot.split:
+            dual_grad_tail = _tail_bound(pot.dual_grad_majorant(eta, d, k_cut),
+                                         k_cut, lat.dual_half_cell_diameter, d)
+    except OverflowError:
+        raise UnreachableTolerance(
+            f"the terms or bounds of {pot.label} at eta={eta:g} overflow "
+            "double precision") from None
 
     direct = enumerate_shells(lat, "direct", r_cut + cell)
     if len(direct) > _SHELL_BUDGET:
@@ -740,6 +757,7 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
         dual_tail_bound=float(dual_tail),
         direct_grad_tail_bound=float(direct_grad_tail),
         dual_grad_tail_bound=float(dual_grad_tail),
+        eta_constant=pot.eta_constant(float(eta), d),
         direct_vectors=direct,
         dual_vectors_half=wh,
         dual_norms_half=wn,
@@ -784,7 +802,8 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
 
     values and grads hold each row's sum, per pair, over the images with
     |q + v| <= r_cut of the terms and of their gradients; degenerate marks
-    rows lying on the lattice (found over every image), whose sums are
+    rows lying on the lattice, found among those images (an image with
+    |q + v| < _SINGULAR_EPS lies far inside r_cut), whose sums are
     meaningless for the singular families.  abs_sums, if given, receives
     each row's sum of |terms|.  The plan's direct bound covers every point
     of any translate of the lattice beyond r_cut, so the images it
@@ -806,20 +825,23 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
     step = max(1, _BLOCK_PAIR_IMAGES // VT.shape[1])
     values = np.empty(n)
     grads = np.empty((n, d)) if want_grad else None
-    degenerate = np.empty(n, dtype=bool)
+    degenerate = np.zeros(n, dtype=bool)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         R = QT[:, rows, None] + VT[:, None, :]
         r2 = np.einsum("knv,knv->nv", R, R)
         nb, n_images = r2.shape
-        on_lattice = degenerate[rows] = r2.min(axis=1) < _SINGULAR_EPS**2
-        keep = r2 <= cut2
-        if pot.singular and on_lattice.any():
-            keep &= r2 >= _SINGULAR_EPS**2  # callers reset these rows
         # flat indices of the kept (row, image) pairs, in row-major order
-        kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(r2 <= cut2)
         row = kept // n_images
-        t, radial = pot.direct_terms(plan.eta, np.sqrt(r2.take(kept)), want_grad)
+        r2_kept = r2.take(kept)
+        on_lattice = r2_kept < _SINGULAR_EPS**2
+        if on_lattice.any():
+            degenerate[lo + row[on_lattice]] = True
+            if pot.singular:  # callers reset these rows
+                off = ~on_lattice
+                kept, row, r2_kept = kept[off], row[off], r2_kept[off]
+        t, radial = pot.direct_terms(plan.eta, np.sqrt(r2_kept), want_grad)
         values[rows] = np.bincount(row, t, nb)
         if abs_sums is not None:
             abs_sums[rows] = np.bincount(row, np.abs(t), nb)
@@ -827,7 +849,7 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
             for c in range(d):
                 grads[rows, c] = np.bincount(row, R[c].take(kept) * radial, nb)
         # freed before the next block is built, so no two blocks coexist
-        del R, r2, keep, kept, row, t, radial
+        del R, r2, kept, row, r2_kept, t, radial
     return values, grads, degenerate
 
 
@@ -852,7 +874,6 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     n, d = Q.shape
     if d != lat.dimension:
         raise DimensionMismatch("difference vectors have wrong dimension")
-    eta = plan.eta
     values, grads, degenerate = _direct_sums(plan, Q, want_grad, abs_sums)
 
     W = plan.dual_vectors_half
@@ -875,7 +896,7 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
                 sin_a = np.sin(phase) * a
                 for c in range(d):
                     grads[rows, c] -= 4.0 * math.pi * (sin_a * WT[c]).sum(axis=1)
-    const = pot.eta_constant(eta, d)
+    const = plan.eta_constant
     values += const
 
     if abs_sums is not None:

@@ -81,15 +81,85 @@ def gamma_upper_reg_vec(sigma, x):
     within 1e-15 relative of the exact value up to x = 700, where gammaincc
     and a plain erfc(sqrt x) drift to ~1e-13.  It covers the Riesz direct
     terms at s = 1 and the dual coefficients at (d - s)/2 = 1/2.
+
+    For the other orders 0 < sigma < 1 and 0 < x < 1.5, where scipy's
+    gammaincc costs ten to twenty times what it costs above, the value comes
+    from a power series (_gamma_upper_small); against mpmath at 40 digits
+    it is within 6e-15 relative there, gammaincc within 1.5e-14.  A scalar
+    goes through the same formula as a one-element array.  Every other
+    (sigma, x), x = 0 (which gives 1) included, is scipy's gammaincc.
     """
     if sigma == 0.5:
         return np.exp(-x) * sc.erfcx(np.sqrt(x))
-    return sc.gammaincc(sigma, x)
+    if not 0.0 < sigma < 1.0:
+        return sc.gammaincc(sigma, x)
+    if isinstance(x, float):  # the planner's floats: fewer numpy calls
+        if not 0.0 < x < _SERIES_X:
+            return sc.gammaincc(sigma, x)
+        return (_gamma_upper_small(sigma, np.array([x])) / math.gamma(sigma))[0]
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    small = flat < _SERIES_X
+    small &= flat > 0.0
+    inside = small.nonzero()[0]
+    if not inside.size:
+        return sc.gammaincc(sigma, x)
+    out = np.empty_like(flat)
+    outside = (~small).nonzero()[0]
+    out[outside] = sc.gammaincc(sigma, flat[outside])
+    out[inside] = _gamma_upper_small(sigma, flat[inside]) / math.gamma(sigma)
+    return out.reshape(x.shape)[()]
+
+
+@lru_cache(maxsize=16)
+def _small_x_coeffs(sigma):
+    """(c, head) of _gamma_upper_small's series at the order sigma, built
+    once per sigma: c[n-1] multiplies x^n, n = 1 .. N, with N terms enough
+    for every x below the series edge."""
+    if sigma < 0.5:
+        n = np.arange(1.0, _series_terms(_SERIES_X, 0.0) + 1.0)
+        c = (-1.0) ** n / (np.cumprod(n) * (sigma + n))
+        head = _gamma1pm1_over(sigma)[0]
+    else:
+        n = np.arange(_series_terms(_SERIES_X, sigma) + 1.0)
+        v = 1.0 / np.cumprod(sigma + n)
+        c, head = v[1:], v[0]
+    c.flags.writeable = False
+    return c, head
+
+
+def _gamma_upper_small(sigma, x):
+    """Gamma(sigma, x) for 0 < sigma < 1, sigma != 1/2, on a 1-d array of x
+    in (0, 1.5), value only.  Below sigma = 1/2 the regular central form of
+    _gamma_central,
+
+        Gamma(sigma, x) = (Gamma(1+sigma) - 1)/sigma - (x^sigma - 1)/sigma
+                          - x^sigma sum_(n>=1) (-x)^n / (n! (sigma+n));
+
+    above it Gamma(sigma) minus the positive lower series of
+    _gamma_lower_series, e^-x x^sigma sum_(n>=0) x^n / (sigma (sigma+1) ...
+    (sigma+n)).  The powers x^n come from one cumulative product and each
+    row of terms is summed along its own axis, never through BLAS, so an
+    element's value does not depend on the rest of the array."""
+    c, head = _small_x_coeffs(sigma)
+    terms = np.empty((x.size, c.size))
+    terms[:] = x[:, None]
+    np.cumprod(terms, axis=1, out=terms)
+    terms *= c
+    total = terms.sum(axis=1)
+    logx = np.log(x)
+    if sigma < 0.5:
+        u = sigma * logx
+        return head - np.expm1(u) / sigma - np.exp(u) * total
+    total += head
+    return math.gamma(sigma) - np.exp(-x) * np.exp(sigma * logx) * total
 
 
 def _checked(sigma, x):
-    """x as a float or a float array, once every element lies in the domain
-    of Gamma(sigma, .); NaN passes through."""
+    """x as a float or a float array, once sigma is finite and every element
+    lies in the domain of Gamma(sigma, .); NaN passes through."""
+    if not math.isfinite(sigma):
+        raise InvalidParameter(f"Gamma(sigma, x) needs a finite sigma, got {sigma}")
     if not isinstance(x, float):
         x = np.asarray(x, dtype=float)
     lo = np.min(x, initial=np.inf)
@@ -303,9 +373,11 @@ def gamma_upper_vec(sigma, x):
     sigma > 0 and raises DivergentIntegral for sigma <= 0.
 
     Accuracy against mpmath at 30 digits over sigma in [-3, 30] and x in
-    (0, 50]: sigma > 0 is scipy's gammaincc times Gamma(sigma), within
-    3.6e-14 relative; sigma <= 0 is the value of gamma_upper_dsigma_vec's
-    pair, within 8.5e-15, with no recurrence step that divides by sigma -
+    (0, 50]: sigma > 0 is gamma_upper_reg_vec times Gamma(sigma), within
+    3.6e-14 relative (scipy's gammaincc, but for the erfcx form at sigma =
+    1/2 and the small-x series at 0 < sigma < 1, x < 1.5, which are within
+    6e-15); sigma <= 0 is the value of gamma_upper_dsigma_vec's pair,
+    within 8.5e-15, with no recurrence step that divides by sigma -
     ceil(sigma).
     """
     x = _checked(sigma, x)

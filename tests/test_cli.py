@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -539,3 +540,64 @@ def test_cli_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["kernel-eval", "--x", "0.1", "--y", "0.3"],
+    ["minimize", "--N", "3", "--restarts", "1"]], ids=["kernel-eval", "minimize"])
+@pytest.mark.parametrize("potential, code", [
+    ("gaussian:inf", 2), ("riesz:inf", 2), ("logriesz:inf", 2),
+    ("riesz:400", 1)])
+def test_out_of_range_family_parameter_exits_cleanly(command, potential, code,
+                                                     capsys):
+    # a non-finite parameter is a bad potential string; at s = 400,
+    # Gamma(s/2) overflows in every term and bound, so no eta is plannable
+    assert run_cli([command[0], "--potential", potential, *command[1:]]) == code
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("potential", ["riesz:250", "riesz:300",
+                                       "logriesz:250", "logriesz:300"])
+def test_large_exponents_evaluate(potential, capsys):
+    # the eta rungs whose majorants overflow are skipped, and a lower one
+    # plans; on Z1 the nearest image, at distance 0.2, carries the whole
+    # value.  minimize meets trials whose terms overflow to inf or NaN and
+    # must reject them rather than end on one
+    pot = kn.parse_potential(potential)
+
+    def lead(r):
+        return r**-pot.s * (math.log(r**-2) if isinstance(pot, kn.LogRiesz) else 1.0)
+
+    assert run_cli(["kernel-eval", "--potential", potential, "--x", "0.1",
+                    "--y", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
+        lead(0.2), rel=1e-12)
+    # three equally spaced points, the structured start, are the minimum
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # r^-s overflows
+        assert run_cli(["minimize", "--potential", potential, "--N", "3",
+                        "--restarts", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["best_energy"] == pytest.approx(
+        6.0 * lead(1.0 / 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("fn, args", [
+    ("digamma", "nan"), ("gamma_upper", "0.25,nan"), ("gamma_upper", "nan,1"),
+    ("erfc", "nan"), ("exp_integral_e1", "nan"), ("hurwitz_zeta", "2,nan"),
+    ("riemann_zeta", "nan")])
+def test_specfun_eval_refuses_nan(fn, args, capsys):
+    assert run_cli(["specfun-eval", "--fn", fn, f"--args={args}"]) == 1
+    _assert_one_error_line(capsys)
+
+
+def test_specfun_eval_writes_strict_json_at_infinity(capsys):
+    def strict(text):
+        return json.loads(text, parse_constant=lambda c: pytest.fail(c))
+
+    assert run_cli(["specfun-eval", "--fn", "gamma_upper",
+                    "--args=0.25,inf"]) == 0
+    payload = strict(capsys.readouterr().out)
+    assert payload["value"] == 0.0 and payload["args"] == [0.25, "inf"]
+    assert run_cli(["specfun-eval", "--fn", "digamma", "--args=inf"]) == 0
+    assert strict(capsys.readouterr().out)["value"] == "inf"
+

@@ -212,6 +212,42 @@ def test_structure_factor_energy_coincident_pair_and_one_point():
     assert np.array_equal(one.gradient, np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("name, pot", [("Z2", kn.Riesz(1.0)),
+                                       ("hex", kn.LogRiesz(0.5))],
+                         ids=["Z2-riesz1", "hex-logriesz0.5"])
+def test_gradient_scatter_matches_parts_bitwise(name, pot):
+    # total_energy scatters the pair gradients in one bincount over (point,
+    # component); each entry must get the additions np.add.at makes over
+    # the pairs in pair order, rows j first, on top of the dual gradient
+    lat = lattice_preset(name)
+    plan = kn.plan_ewald(lat, pot, 1e-12)
+    cfg = en.Configuration.random(lat, 9, np.random.default_rng(17))
+    got = en.total_energy(cfg, pot, plan, with_gradient=True).gradient
+    j, k, Q = en._pair_differences(cfg)
+    _, grads, _ = kn._direct_sums(plan, Q, True)
+    _, dual = kn._dual_energy(plan, cfg.cartesian(), True)
+    pairs = np.zeros_like(dual)
+    np.add.at(pairs, np.concatenate([j, k]),
+              2.0 * np.concatenate([grads, -grads]))
+    assert np.array_equal(got, (dual + pairs) @ lat.basis)
+
+
+@pytest.mark.parametrize("pot", [kn.Riesz(1.0), kn.Gaussian(0.5)],
+                         ids=lambda p: p.label)
+def test_degenerate_pairs_only_when_a_pair_coincides(pot):
+    plan = _plan(Z2, pot)
+    pts = np.array([[0.1, 0.1], [0.6, 0.3], [0.5, 0.9]])
+    rep = en.total_energy(en.Configuration(Z2, pts), pot, plan,
+                          with_gradient=True)
+    assert rep.degenerate_pairs == []
+    assert math.isfinite(rep.energy)
+    pts[2] = pts[0] + [1.0, 0.0]  # the same point of the torus
+    rep = en.total_energy(en.Configuration(Z2, pts), pot, plan,
+                          with_gradient=True)
+    assert rep.degenerate_pairs == [(0, 2)]
+    assert (rep.energy == math.inf) == pot.singular
+
+
 @pytest.mark.parametrize("name", ("Z2", "hex", "Z3", "fcc-like"))
 @pytest.mark.parametrize("s", (0.5, 1.0, 1.5))
 def test_refinement_law(name, s):
