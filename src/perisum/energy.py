@@ -142,18 +142,6 @@ def _pair_indices(n):
     return j, k
 
 
-@functools.lru_cache(maxsize=4)
-def _scatter_index(n, d):
-    """The read-only flat index ends[i] * d + c, ends = [j; k] over the
-    pairs j < k of n points, that scatters entry (i, c) of the (2P, d)
-    pair gradients into an (n, d) array.  Built once per (n, d), as
-    _pair_indices is."""
-    j, k = _pair_indices(n)
-    index = (np.concatenate([j, k])[:, None] * d + np.arange(d)).reshape(-1)
-    index.flags.writeable = False
-    return index
-
-
 def _pair_differences(cfg):
     """Min-imaged Cartesian differences x_j - x_k for all pairs j < k."""
     f = cfg.points
@@ -196,16 +184,12 @@ def total_energy(cfg, pot, plan, with_gradient=False):
     energy = 2.0 * float(direct.sum()) + dual
     if with_gradient:
         # pair term 2 D(x_j - x_k): +2 grad to row j, -2 grad to row k, on
-        # top of the reciprocal gradient, in one bincount that adds into
-        # each entry in pair order, rows j first; then the chain rule into
+        # top of the reciprocal gradient; then the chain rule into
         # fractional coordinates
-        d = lat.dimension
-        p = grads.shape[0]
-        pair_grads = np.empty((2 * p, d))
-        np.multiply(grads, 2.0, out=pair_grads[:p])
-        np.multiply(grads, -2.0, out=pair_grads[p:])
-        gradient += np.bincount(_scatter_index(n, d), pair_grads.reshape(-1),
-                                n * d).reshape(n, d)
+        ends = np.concatenate([j, k])
+        pair_grads = 2.0 * np.concatenate([grads, -grads])
+        for c in range(lat.dimension):
+            gradient[:, c] += np.bincount(ends, pair_grads[:, c], n)
         gradient = gradient @ lat.basis
     return EnergyReport(energy, gradient, degenerate_pairs, plan, bound,
                         grad_bound)

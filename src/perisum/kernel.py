@@ -575,26 +575,20 @@ def _tail_bound(majorant, radius, cell, d):
 def _cutoff(tail, target, r_max, which, rel=1e-6):
     """Bisect for the smallest radius (to rel relative) at which tail(radius)
     <= target; returns the radius and its tail.  A NaN or infinite tail
-    counts as missing the target, and a tail whose majorant overflows
-    (exponents s of a few hundred) makes the cutoff unreachable."""
-    try:
-        lo, hi = 0.0, 1.0
-        while not tail(hi) <= target:
-            if hi >= r_max:
-                raise UnreachableTolerance(
-                    f"{which} cutoff for a tail of {target:g} exceeds the "
-                    "shell budget")
-            lo, hi = hi, min(2.0 * hi, r_max)
-        while hi - lo > rel * hi:
-            mid = 0.5 * (lo + hi)
-            if tail(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-        return hi, tail(hi)
-    except OverflowError:
-        raise UnreachableTolerance(
-            f"{which} tail bound overflows double precision") from None
+    counts as missing the target."""
+    lo, hi = 0.0, 1.0
+    while not tail(hi) <= target:
+        if hi >= r_max:
+            raise UnreachableTolerance(
+                f"{which} cutoff for a tail of {target:g} exceeds the shell budget")
+        lo, hi = hi, min(2.0 * hi, r_max)
+    while hi - lo > rel * hi:
+        mid = 0.5 * (lo + hi)
+        if tail(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi, tail(hi)
 
 
 def _rounding_floor(lat, pot, eta):
@@ -645,7 +639,8 @@ def _cheapest_eta(lat, pot, tol, n_points=None):
     the structure-factor phases of _dual_energy; the walk then stops once
     the cost has risen on two rungs in a row.  The cutoffs are bisected to
     1e-2 only: the rungs' costs differ by far more.  A rung whose cutoff is
-    out of reach, or that lies below its own rounding floor, is skipped
+    out of reach or whose tail bound overflows (exponents s of a few
+    hundred), or that lies below its own rounding floor, is skipped
     (the floors are taken cheapest rung first, so usually once); if every
     rung is, the answer is 1, whose plan then raises."""
     d = lat.dimension
@@ -656,7 +651,7 @@ def _cheapest_eta(lat, pot, tol, n_points=None):
     for eta in ladder:
         try:
             r_cut, _, k_cut, _ = _cutoffs(lat, pot, tol, eta, rel=1e-2)
-        except UnreachableTolerance:
+        except (UnreachableTolerance, OverflowError):
             continue
         if n_points is None:
             cost = (r_cut + cell) ** d + _DUAL_TERM_COST * k_cut**d

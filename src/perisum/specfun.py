@@ -93,10 +93,6 @@ def gamma_upper_reg_vec(sigma, x):
         return np.exp(-x) * sc.erfcx(np.sqrt(x))
     if not 0.0 < sigma < 1.0:
         return sc.gammaincc(sigma, x)
-    if isinstance(x, float):  # the planner's floats: fewer numpy calls
-        if not 0.0 < x < _SERIES_X:
-            return sc.gammaincc(sigma, x)
-        return (_gamma_upper_small(sigma, np.array([x])) / math.gamma(sigma))[0]
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     small = flat < _SERIES_X
@@ -201,8 +197,20 @@ def _gamma_cf(sigma, x, depth):
             np.add(x, 2.0 * n + 1.0 - sigma, out=f)
             f -= c
     logx = np.log(x)
-    g = np.exp(-x) * np.exp(sigma * logx) / f
+    g = _xpow_exp(sigma, x, logx) / f
     return g, g * (logx - df / f)
+
+
+def _xpow_exp(sigma, x, logx):
+    """x^sigma e^-x as e^-x e^(sigma log x).  Above sigma = 70, where
+    x^sigma alone can pass the double range below x = 1e4 (log-Riesz
+    exponents of a few hundred), an element whose product overflows takes
+    e^(sigma log x - x) instead; every other element keeps the product."""
+    if sigma <= 70.0:
+        return np.exp(-x) * np.exp(sigma * logx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = np.exp(-x) * np.exp(sigma * logx)
+    return np.where(np.isfinite(pre), pre, np.exp(sigma * logx - x))[()]
 
 
 def _series_terms(x_max, base):
@@ -229,7 +237,7 @@ def _gamma_lower_series(sigma, x):
         total = total + v
         weighted = weighted + v * h
     logx = np.log(x)
-    pre = np.exp(-x) * np.exp(sigma * logx)
+    pre = _xpow_exp(sigma, x, logx)
     gs = math.gamma(sigma)
     return (gs - pre * total,
             gs * float(sc.digamma(sigma)) - pre * (logx * total - weighted))

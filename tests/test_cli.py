@@ -572,6 +572,11 @@ def test_large_exponents_evaluate(potential, capsys):
                     "--y", "0.3"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
         lead(0.2), rel=1e-12)
+    # on Z2 the far images reach x = eta r^2 where x^(s/2) alone overflows
+    assert run_cli(["kernel-eval", "--lattice", "Z2", "--potential", potential,
+                    "--x", "0.2,0.1", "--y", "0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
+        lead(math.sqrt(0.05)), rel=1e-12)
     # three equally spaced points, the structured start, are the minimum
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # r^-s overflows
