@@ -220,7 +220,8 @@ def _relax(plan, pts0, max_iters, tol_grad):
     are.  Returns (points, energy, converged, energy_trajectory); the
     trajectory is the start energy, then the energy after each iteration,
     and the line search's sufficient-decrease test keeps it non-increasing.
-    With max_iters < 1 the start comes back unrelaxed and not converged.
+    With max_iters < 1, or when the run ends on a trial it rejected, the
+    start comes back unrelaxed and not converged.
     """
     lat, pot = plan.lattice, plan.potential
     if max_iters < 1:
@@ -234,17 +235,22 @@ def _relax(plan, pts0, max_iters, tol_grad):
     last = [None]
 
     def energy_and_gradient(x):
-        rep = total_energy(Configuration(lat, x.reshape(shape)), pot, plan,
-                           with_gradient=True)
-        last[0] = rep.energy
+        # a trial beyond double range (a step along gradients of ~1e199 at
+        # exponents of a few hundred) is no configuration
+        e = math.inf
+        if np.isfinite(x).all():
+            rep = total_energy(Configuration(lat, x.reshape(shape)), pot, plan,
+                               with_gradient=True)
+            e = rep.energy
+        last[0] = e
         if not traj:
-            traj.append(rep.energy)
-        if rep.gradient is None or not math.isfinite(rep.energy):
+            traj.append(e)
+        if not math.isfinite(e) or rep.gradient is None:
             # a coincident pair, or terms beyond double precision (r^-s at
             # exponents of a few hundred): +inf fails every sufficient-
             # decrease test, so the line search never accepts this trial
             return math.inf, np.zeros(x.size)
-        return rep.energy, rep.gradient.ravel()
+        return e, rep.gradient.ravel()
 
     # L-BFGS-B calls back after each iteration with the iterate it last
     # evaluated; a one-argument callback gets it as an ndarray on every
@@ -255,6 +261,11 @@ def _relax(plan, pts0, max_iters, tol_grad):
         options={"maxcor": 20, "gtol": tol_grad, "ftol": 0.0,
                  "maxiter": max_iters})
     e = float(res.fun)
+    if not math.isfinite(e):
+        # L-BFGS-B can end on a rejected trial (a step along gradients near
+        # the double limit): return the start, which the first evaluation
+        # priced
+        return lat.reduce_frac(pts0), traj[0], False, traj[:1]
     gnorm = float(np.max(np.abs(res.jac)))
     # decided from the returned gradient, never from scipy's status, which
     # can report convergence after a +inf trial far from any minimum.  A

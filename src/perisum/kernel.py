@@ -24,7 +24,11 @@ evaluate_batch, the pairwise path (and kernel_value's), makes one pass
 over blocks of difference rows, each block holding at most
 _BLOCK_PAIR_IMAGES (row, direct image) or (row, dual vector) pairs, so its
 memory does not grow with the batch; each row is reduced in an order that
-does not depend on the rest of the batch.  The direct sums (_direct_sums)
+does not depend on the rest of the batch.  So a row gets the same bits in
+any batch, except where a log-Riesz term takes the continued fraction of
+the (Gamma, d/dsigma Gamma) pair: its depth follows how many elements of
+the block fall in each band of x, so the row can move in its last bits,
+within 1e-15 relative.  The direct sums (_direct_sums)
 take, per pair, the images with |q+v| <= r_cut only: of the images the
 plan enumerates, those within r_cut + half_cell_diameter, the rest lie
 beyond r_cut, where the plan's bound already covers every point of any
@@ -37,7 +41,8 @@ blocks but takes the reciprocal part from structure factors
 splitting constant the plan holds (EwaldPlan.eta_constant).  Q(1/2, x) =
 erfc(sqrt x), the d = 3 Coulomb case, is taken from specfun without
 scipy's general incomplete gamma, and so is Q(sigma, x) at 0 < sigma < 1
-below x = 1.5, from a power series.  kernel_value's bound adds to the plan's
+below x = 1.5, from the power series the pair takes below its series
+edge.  kernel_value's bound adds to the plan's
 truncation bound the family's rel_accuracy times the sum of |terms|, which
 evaluate_batch accumulates in the same pass.
 
@@ -224,7 +229,12 @@ class Riesz(_Split):
         sig = 0.5 * s
         r2 = r * r
         x = eta * r2
-        t = sf.gamma_upper_reg_vec(sig, x) * np.power(r, -s)
+        # at exponents of a few hundred r^-s passes the double range at the
+        # short distances a minimizer's trials reach: the term is then +inf,
+        # and an energy with it is rejected
+        with np.errstate(over="ignore"):
+            rpow = np.power(r, -s)
+        t = sf.gamma_upper_reg_vec(sig, x) * rpow
         if not want_grad:
             return t, None
         # radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
@@ -299,15 +309,18 @@ class LogRiesz(_Split):
         psi = sf.digamma(sig)
         r2 = r * r
         x = eta * r2
-        rpow = np.power(r, -s)
-        rpow /= gs
         # t = Q(s/2, x) r^-s and t2 = d/dsigma Gamma r^-s / Gamma(s/2)
         # - (2 log r + psi) t, from one (Gamma, d/dsigma Gamma) pass
         t, t2 = sf.gamma_upper_dsigma_vec(sig, x)
-        t *= rpow
-        t2 *= rpow
-        t2 -= 2.0 * np.log(r) * t
-        t2 -= psi * t
+        # where r^-s passes the double range (as in Riesz.direct_terms) t2
+        # takes inf - inf: the term is NaN, and an energy with it is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            rpow = np.power(r, -s)
+            rpow /= gs
+            t *= rpow
+            t2 *= rpow
+            t2 -= 2.0 * np.log(r) * t
+            t2 -= psi * t
         if not want_grad:
             return t2, None
         # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
@@ -862,7 +875,9 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     degenerate rows), which bounds the rounding of the value through the
     family's rel_accuracy.  Every row is reduced in an order that does not
     depend on the other rows of the batch, so a row's result is the same
-    whichever batch it is evaluated in.
+    whichever batch it is evaluated in, but for log-Riesz terms in the
+    continued fraction's bands, whose depth depends on the batch: there a
+    row is the same within 1e-15 relative.
     """
     _check_plan(lat, pot, plan)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

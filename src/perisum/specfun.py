@@ -84,10 +84,11 @@ def gamma_upper_reg_vec(sigma, x):
 
     For the other orders 0 < sigma < 1 and 0 < x < 1.5, where scipy's
     gammaincc costs ten to twenty times what it costs above, the value comes
-    from a power series (_gamma_upper_small); against mpmath at 40 digits
-    it is within 6e-15 relative there, gammaincc within 1.5e-14.  A scalar
-    goes through the same formula as a one-element array.  Every other
-    (sigma, x), x = 0 (which gives 1) included, is scipy's gammaincc.
+    from the series of the (Gamma, d/dsigma Gamma) pair (_gamma_series,
+    without the derivative); against mpmath at 40 digits it is within
+    6e-15 relative there, gammaincc within 1.5e-14.  A scalar goes through
+    the same formula as a one-element array.  Every other (sigma, x), x = 0
+    (which gives 1) included, is scipy's gammaincc.
     """
     if sigma == 0.5:
         return np.exp(-x) * sc.erfcx(np.sqrt(x))
@@ -103,52 +104,8 @@ def gamma_upper_reg_vec(sigma, x):
     out = np.empty_like(flat)
     outside = (~small).nonzero()[0]
     out[outside] = sc.gammaincc(sigma, flat[outside])
-    out[inside] = _gamma_upper_small(sigma, flat[inside]) / math.gamma(sigma)
+    out[inside] = _gamma_series(sigma, flat[inside], False)[0] / math.gamma(sigma)
     return out.reshape(x.shape)[()]
-
-
-@lru_cache(maxsize=16)
-def _small_x_coeffs(sigma):
-    """(c, head) of _gamma_upper_small's series at the order sigma, built
-    once per sigma: c[n-1] multiplies x^n, n = 1 .. N, with N terms enough
-    for every x below the series edge."""
-    if sigma < 0.5:
-        n = np.arange(1.0, _series_terms(_SERIES_X, 0.0) + 1.0)
-        c = (-1.0) ** n / (np.cumprod(n) * (sigma + n))
-        head = _gamma1pm1_over(sigma)[0]
-    else:
-        n = np.arange(_series_terms(_SERIES_X, sigma) + 1.0)
-        v = 1.0 / np.cumprod(sigma + n)
-        c, head = v[1:], v[0]
-    c.flags.writeable = False
-    return c, head
-
-
-def _gamma_upper_small(sigma, x):
-    """Gamma(sigma, x) for 0 < sigma < 1, sigma != 1/2, on a 1-d array of x
-    in (0, 1.5), value only.  Below sigma = 1/2 the regular central form of
-    _gamma_central,
-
-        Gamma(sigma, x) = (Gamma(1+sigma) - 1)/sigma - (x^sigma - 1)/sigma
-                          - x^sigma sum_(n>=1) (-x)^n / (n! (sigma+n));
-
-    above it Gamma(sigma) minus the positive lower series of
-    _gamma_lower_series, e^-x x^sigma sum_(n>=0) x^n / (sigma (sigma+1) ...
-    (sigma+n)).  The powers x^n come from one cumulative product and each
-    row of terms is summed along its own axis, never through BLAS, so an
-    element's value does not depend on the rest of the array."""
-    c, head = _small_x_coeffs(sigma)
-    terms = np.empty((x.size, c.size))
-    terms[:] = x[:, None]
-    np.cumprod(terms, axis=1, out=terms)
-    terms *= c
-    total = terms.sum(axis=1)
-    logx = np.log(x)
-    if sigma < 0.5:
-        u = sigma * logx
-        return head - np.expm1(u) / sigma - np.exp(u) * total
-    total += head
-    return math.gamma(sigma) - np.exp(-x) * np.exp(sigma * logx) * total
 
 
 def _checked(sigma, x):
@@ -223,26 +180,6 @@ def _series_terms(x_max, base):
     return n
 
 
-def _gamma_lower_series(sigma, x):
-    """(Gamma, d/dsigma Gamma) for sigma >= 1/2 and x below the series edge:
-    Gamma(sigma) minus the positive series gamma(sigma, x) = e^-x x^sigma
-    sum_n v_n, v_n = x^n / (sigma (sigma+1) ... (sigma+n)), whose terms
-    have d/dsigma v_n = -v_n H_n, H_n = sum_(k<=n) 1/(sigma+k)."""
-    v = total = 1.0 / sigma
-    h = 1.0 / sigma
-    weighted = v * h
-    for n in range(1, _series_terms(float(np.max(x)), sigma) + 1):
-        v = v * x / (sigma + n)
-        h += 1.0 / (sigma + n)
-        total = total + v
-        weighted = weighted + v * h
-    logx = np.log(x)
-    pre = _xpow_exp(sigma, x, logx)
-    gs = math.gamma(sigma)
-    return (gs - pre * total,
-            gs * float(sc.digamma(sigma)) - pre * (logx * total - weighted))
-
-
 @lru_cache(maxsize=1)
 def _gamma1p_taylor():
     """Taylor coefficients g_0..g_64 of Gamma(1 + a) at a = 0, from the
@@ -268,60 +205,101 @@ def _gamma1pm1_over(a):
     return v, dv
 
 
-def _gamma_central(a, x):
-    """(Gamma, d/dsigma Gamma) at an order a in [-1/2, 1/2) for x below the
-    series edge, from
+@lru_cache(maxsize=32)
+def _series_table(sigma):
+    """(order, ratios, value weights, d/dsigma weights, c, dc) of
+    _gamma_series at the order sigma, built at first use: its terms t_n =
+    t_(n-1) x ratios[n-1] from t_0 = 1, as many as the series edge
+    max(_SERIES_X, sigma) needs, and the constants c, dc the sums are taken
+    from."""
+    if sigma >= 0.5:
+        # t_n = x^n / ((sigma+1) ... (sigma+n)); the lower series' terms are
+        # t_n / sigma, and their sigma-derivatives -t_n H_n / sigma with
+        # H_n = sum_(k<=n) 1/(sigma+k)
+        order = sigma
+        n = np.arange(_series_terms(max(_SERIES_X, sigma), sigma) + 1.0)
+        inv = 1.0 / (sigma + n)
+        ratios = inv[1:]
+        values = np.full(ratios.size, 1.0 / sigma)
+        dsigma = np.cumsum(inv)[1:] / sigma
+        c = math.gamma(sigma)
+        dc = c * float(sc.digamma(sigma))
+    else:
+        # t_n = (-x)^n / n!, weighted by 1/(a+n) and 1/(a+n)^2
+        order = sigma - math.floor(sigma + 0.5)
+        n = np.arange(1.0, _series_terms(_SERIES_X, 0.0) + 1.0)
+        ratios = -1.0 / n
+        values = 1.0 / (order + n)
+        dsigma = values * values
+        c, dc = _gamma1pm1_over(order)
+    for row in (ratios, values, dsigma):
+        row.flags.writeable = False
+    return order, ratios, values, dsigma, c, dc
+
+
+def _gamma_series(sigma, x, want_d=True):
+    """(Gamma, d/dsigma Gamma) on a 1-d array of x in (0, max(1.5, sigma)),
+    (Gamma, None) without want_d.  For sigma >= 1/2, Gamma(sigma) minus the
+    positive lower series
+
+        gamma(sigma, x) = e^-x x^sigma sum_(n>=0) x^n / (sigma (sigma+1) ...
+                          (sigma+n)),
+
+    differentiated term by term.  Otherwise, at the order a = sigma -
+    round(sigma) in [-1/2, 1/2), the central form
 
         Gamma(a, x) = (Gamma(1+a) - 1)/a - (x^a - 1)/a
                       - x^a sum_(n>=1) (-x)^n / (n! (a+n)),
 
-    in which nothing is singular at a = 0 (there it is the series of E1).
+    in which nothing is singular at a = 0 (there it is the series of E1);
     (x^a - 1)/a = expm1(u)/a, u = a log x, has the a-derivative log(x)^2
     phi(u), phi(u) = (u e^u - expm1 u)/u^2, taken from its Taylor series
-    where |u| <= 1."""
-    c0, dc0 = _gamma1pm1_over(a)
+    where |u| <= 1.  The downward recurrence Gamma(o, x) = (Gamma(o+1, x) -
+    x^o e^-x)/o, differentiated in o, then steps from a to sigma; every step
+    divides by |o| >= 1/2, so no order near an integer divides by a small
+    number.
+
+    Both series come from _series_table: each element's terms n >= 1 are
+    one cumulative product of x ratios along its own row, and each row is
+    summed on its own, never through BLAS, so an element's result does not
+    depend on the rest of the array."""
+    order, ratios, values, dsigma, c, dc = _series_table(sigma)
+    terms = np.multiply.outer(x, ratios)
+    np.cumprod(terms, axis=1, out=terms)
+    d_sum = (terms * dsigma).sum(axis=1) if want_d else None
+    terms *= values
+    v_sum = terms.sum(axis=1)
     logx = np.log(x)
-    u = a * logx
-    head = np.expm1(u) / a if a else logx
-    near = np.abs(u) <= 1.0
-    taylor = 0.0
-    for k in range(_PHI_TERMS, -1, -1):
-        taylor = taylor * u + (k + 1.0) / math.factorial(k + 2)
-    far = np.where(near, 1.0, u)
-    phi = np.where(near, taylor, (np.exp(far) * (far - 1.0) + 1.0) / (far * far))
-    # s1 = sum (-x)^n / (n! (a+n)), s2 = sum (-x)^n / (n! (a+n)^2)
-    term = 1.0
-    s1 = s2 = 0.0
-    for n in range(1, _series_terms(float(np.max(x)), 0.0) + 1):
-        term = term * x * (-1.0 / n)
-        w = 1.0 / (a + n)
-        s1 = s1 + term * w
-        s2 = s2 + term * (w * w)
-    xa = np.exp(u)
-    return (c0 - head - xa * s1,
-            dc0 - logx * logx * phi - xa * (logx * s1 - s2))
-
-
-def _gamma_series(sigma, x):
-    """(Gamma, d/dsigma Gamma) for 0 < x below the series edge: the positive
-    series for sigma >= 1/2; otherwise _gamma_central at the order a =
-    sigma - round(sigma) and the downward recurrence Gamma(o, x) =
-    (Gamma(o+1, x) - x^o e^-x)/o, differentiated in o, from a to sigma.
-    Every step divides by |o| >= 1/2, so no order near an integer divides
-    by a small number."""
     if sigma >= 0.5:
-        return _gamma_lower_series(sigma, x)
-    order = sigma - math.floor(sigma + 0.5)
-    g, dg = _gamma_central(order, x)
+        # the n = 0 terms, 1/sigma and 1/sigma^2
+        v_sum += 1.0 / sigma
+        pre = _xpow_exp(sigma, x, logx)
+        g = c - pre * v_sum
+        if not want_d:
+            return g, None
+        d_sum += 1.0 / (sigma * sigma)
+        return g, dc - pre * (logx * v_sum - d_sum)
+    u = order * logx
+    xa = np.exp(u)
+    g = c - (np.expm1(u) / order if order else logx) - xa * v_sum
+    dg = None
+    if want_d:
+        near = np.abs(u) <= 1.0
+        taylor = 0.0
+        for k in range(_PHI_TERMS, -1, -1):
+            taylor = taylor * u + (k + 1.0) / math.factorial(k + 2)
+        far = np.where(near, 1.0, u)
+        phi = np.where(near, taylor, (np.exp(far) * (far - 1.0) + 1.0) / (far * far))
+        dg = dc - logx * logx * phi - xa * (logx * v_sum - d_sum)
     steps = int(round(order - sigma))
     if steps:
-        logx = np.log(x)
         emx = np.exp(-x)
         for _ in range(steps):
             order -= 1.0
             p = np.power(x, order) * emx
             g = (g - p) / order
-            dg = (dg - p * logx - g) / order
+            if want_d:
+                dg = (dg - p * logx - g) / order
     return g, dg
 
 
@@ -339,7 +317,8 @@ def _gamma_pair(sigma, x):
             gs = math.gamma(sigma)
             return gs, gs * float(sc.digamma(sigma))
         if not x >= edge:
-            return _gamma_series(sigma, x)
+            g, dg = _gamma_series(sigma, np.array([x]))
+            return g[0], dg[0]
         return _gamma_cf(sigma, x, [depth for lo, depth in cf if x >= lo][-1])
     flat = x.reshape(-1)
     # band 0: x = 0 (sigma > 0); band 1: the series; band 2 + i: cf[i]
@@ -402,10 +381,15 @@ def gamma_upper_dsigma_vec(sigma, x):
 
     One pass, with no difference quotient: for x at or above max(1.5,
     sigma) the Legendre continued fraction, differentiated along its
-    backward evaluation; below it, for sigma >= 1/2, Gamma(sigma) minus the
-    positive lower series, and otherwise a series at the order sigma -
-    round(sigma) that stays regular through 0, then the differentiated
-    downward recurrence, whose steps all divide by at least 1/2.
+    backward evaluation; below it _gamma_series, the series that
+    gamma_upper_reg_vec also takes at 0 < sigma < 1: for sigma >= 1/2,
+    Gamma(sigma) minus the positive lower series, and otherwise a series at
+    the order sigma - round(sigma) that stays regular through 0, then the
+    differentiated downward recurrence, whose steps all divide by at least
+    1/2.  Below the series edge an element's pair does not depend on the
+    rest of the array; above it a band of x can share a deeper pass with the
+    band below, so an element can move in its last bits (within 1e-15
+    relative) with the array it comes in.
 
     Accuracy against mpmath at 30 digits, Gamma relative and d/dsigma Gamma
     relative to max(|Gamma|, |d/dsigma Gamma|) (it crosses zero), measured

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -577,13 +576,28 @@ def test_large_exponents_evaluate(potential, capsys):
                     "--x", "0.2,0.1", "--y", "0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
         lead(math.sqrt(0.05)), rel=1e-12)
-    # three equally spaced points, the structured start, are the minimum
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # r^-s overflows
-        assert run_cli(["minimize", "--potential", potential, "--N", "3",
-                        "--restarts", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["best_energy"] == pytest.approx(
+    # three equally spaced points, the structured start, are the minimum;
+    # the trials whose r^-s overflows write no warning
+    assert run_cli(["minimize", "--potential", potential, "--N", "3",
+                    "--restarts", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["best_energy"] == pytest.approx(
         6.0 * lead(1.0 / 3.0), rel=1e-12)
+    # on Z2 the first step along gradients of ~1e150 and more leaves the
+    # double range; minimize still ends on points whose energy it reports
+    assert run_cli(["minimize", "--lattice", "Z2", "--potential", potential,
+                    "--N", "3", "--restarts", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    z2 = lattice_preset("Z2")
+    plan = kn.plan_ewald(z2, pot, 1e-10, n_points=3)
+    assert payload["plan"] == json.loads(json.dumps(plan.to_json_dict()))
+    assert math.isfinite(payload["best_energy"])
+    e = en.total_energy(en.Configuration(z2, np.array(payload["points"])), pot,
+                        plan).energy
+    assert e == pytest.approx(payload["best_energy"], rel=1e-12)
 
 
 @pytest.mark.parametrize("fn, args", [
