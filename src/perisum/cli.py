@@ -3,8 +3,11 @@
 Subcommands: kernel-eval, energy, minimize, growth, validate, specfun-eval;
 each takes only the flags it reads.  Points are fractional coordinates by
 default (--cartesian on kernel-eval and energy converts through the basis).
-Output is JSON, whose floats are written in their shortest round-trip
-form; growth can also write its table as CSV, with 17 significant digits.
+Output is strict JSON, whose floats are written in their shortest
+round-trip form and an infinity as the text "inf" or "-inf"; kernel-eval,
+energy and specfun-eval refuse a NaN result (exit 1), and minimize and
+growth write a NaN as null.  growth can also write its table as CSV, with
+17 significant digits.
 Files round-trip losslessly, and identical arguments and seed reproduce
 bitwise identical files.  Exit codes: 0 success, 1 failed validation or
 input outside its domain, 2 usage error (a malformed input file included).
@@ -47,7 +50,10 @@ def _write_output(payload, path, fmt="json", csv_rows=None, csv_header=None):
                                   for v in row))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        # JSON has no NaN or infinity: each command writes them through
+        # _finite_or_text or refuses them
+        text = json.dumps(payload, indent=2, default=_json_default,
+                          allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -190,9 +196,12 @@ def _cmd_kernel_eval(args):
         y = lat.to_cartesian(y)
     plan = kn.plan_ewald(lat, pot, args.tol, eta=args.eta)
     kv = kn.kernel_value(plan, x, y)
+    if math.isnan(kv.value):
+        raise InvalidParameter("the kernel value is not a number: its terms "
+                               "pass the double range")
     payload = {
-        "value": kv.value if math.isfinite(kv.value) else "inf",
-        "abs_err_bound": kv.abs_err_bound,
+        "value": _finite_or_text(kv.value),
+        "abs_err_bound": _finite_or_text(kv.abs_err_bound),
         "terms_direct": kv.terms_direct,
         "terms_dual": kv.terms_dual,
         "lattice": lat.to_json_dict(),
@@ -220,8 +229,11 @@ def _cmd_energy(args):
     cfg = en.Configuration(lat, pts)
     plan = kn.plan_ewald(lat, pot, args.tol, eta=args.eta)
     rep = en.total_energy(cfg, pot, plan, with_gradient=args.gradient)
+    if math.isnan(rep.energy):
+        raise InvalidParameter("the energy is not a number: its terms pass "
+                               "the double range")
     payload = {
-        "energy": rep.energy if math.isfinite(rep.energy) else "inf",
+        "energy": _finite_or_text(rep.energy),
         "abs_err_bound": rep.abs_err_bound,
         "n_points": cfg.n_points,
         "degenerate_pairs": rep.degenerate_pairs,
@@ -242,11 +254,11 @@ def _cmd_minimize(args):
                       max_iters=args.max_iters, seed=args.seed,
                       tol_grad=args.tol_grad, tol=args.tol)
     payload = {
-        "best_energy": res.best_energy,
+        "best_energy": _finite_or_text(res.best_energy),
         "points": res.best_config.points,
         "converged": res.converged,
         "restarts_used": res.restarts_used,
-        "restart_energies": res.restart_energies,
+        "restart_energies": [_finite_or_text(e) for e in res.restart_energies],
         "seed": args.seed,
         "lattice": lat.to_json_dict(),
         **_provenance(res.plan),
@@ -270,7 +282,7 @@ def _cmd_growth(args):
              for r in rows]
     payload = {
         "columns": header,
-        "rows": table,
+        "rows": [[_finite_or_text(v) for v in row] for row in table],
         "lattice": lat.to_json_dict(),
         **_provenance(rows[-1].plan),
     }
@@ -300,8 +312,7 @@ def _cmd_specfun_eval(args):
         arglist = [float(v) for v in args.args.split(",") if v != ""]
     except ValueError:
         raise UsageError(f"--args expects comma-separated numbers, got {args.args!r}")
-    # JSON has no NaN: a NaN argument or value is refused, and an infinity
-    # is written as the text "inf" or "-inf"
+    # a NaN argument or value is refused (see _finite_or_text)
     if any(math.isnan(v) for v in arglist):
         raise InvalidParameter(f"{args.fn} takes no NaN argument, got {args.args!r}")
     try:
@@ -317,6 +328,10 @@ def _cmd_specfun_eval(args):
 
 
 def _finite_or_text(v):
+    """v as JSON can hold it: an infinity as the text "inf" or "-inf", a
+    NaN (growth's power column of a family without an exponent) as null."""
+    if math.isnan(v):
+        return None
     return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
 
 

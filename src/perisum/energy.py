@@ -88,12 +88,13 @@ class Configuration:
 @dataclass
 class EnergyReport:
     """Energy value with diagnostics.  gradient is with respect to the
-    fractional coordinates and is None when the energy is infinite.
-    abs_err_bound is N(N-1) times the plan's bound on each kernel value's
-    truncation error.  grad_abs_err_bound bounds each entry's truncation
-    error: a point's Cartesian gradient sums 2 grad K over N - 1 partners,
-    each off by at most the plan's two gradient tail bounds, and a
-    fractional entry is its dot product with a column of the basis."""
+    fractional coordinates and is None when it or the energy is not finite
+    (a coincident pair, or terms beyond double range).  abs_err_bound is
+    N(N-1) times the plan's bound on each kernel value's truncation error.
+    grad_abs_err_bound bounds each entry's truncation error: a point's
+    Cartesian gradient sums 2 grad K over N - 1 partners, each off by at
+    most the plan's two gradient tail bounds, and a fractional entry is its
+    dot product with a column of the basis."""
 
     energy: float
     gradient: np.ndarray | None
@@ -182,15 +183,22 @@ def total_energy(cfg, pot, plan, with_gradient=False):
     # as in the pairwise kernel: for the Gaussian it nearly cancels them
     direct += plan.eta_constant
     energy = 2.0 * float(direct.sum()) + dual
-    if with_gradient:
-        # pair term 2 D(x_j - x_k): +2 grad to row j, -2 grad to row k, on
-        # top of the reciprocal gradient; then the chain rule into
-        # fractional coordinates
-        ends = np.concatenate([j, k])
-        pair_grads = 2.0 * np.concatenate([grads, -grads])
-        for c in range(lat.dimension):
-            gradient[:, c] += np.bincount(ends, pair_grads[:, c], n)
+    if not (with_gradient and math.isfinite(energy)):
+        return EnergyReport(energy, None, degenerate_pairs, plan, bound,
+                            grad_bound)
+    # pair term 2 D(x_j - x_k): +2 grad to row j, -2 grad to row k, on top
+    # of the reciprocal gradient; then the chain rule into fractional
+    # coordinates
+    ends = np.concatenate([j, k])
+    pair_grads = 2.0 * np.concatenate([grads, -grads])
+    for c in range(lat.dimension):
+        gradient[:, c] += np.bincount(ends, pair_grads[:, c], n)
+    # at exponents of a few hundred a pair's gradient can pass the double
+    # range while its energy does not; then there is no gradient
+    with np.errstate(over="ignore", invalid="ignore"):
         gradient = gradient @ lat.basis
+    if not np.isfinite(gradient).all():
+        gradient = None
     return EnergyReport(energy, gradient, degenerate_pairs, plan, bound,
                         grad_bound)
 

@@ -24,11 +24,9 @@ evaluate_batch, the pairwise path (and kernel_value's), makes one pass
 over blocks of difference rows, each block holding at most
 _BLOCK_PAIR_IMAGES (row, direct image) or (row, dual vector) pairs, so its
 memory does not grow with the batch; each row is reduced in an order that
-does not depend on the rest of the batch.  So a row gets the same bits in
-any batch, except where a log-Riesz term takes the continued fraction of
-the (Gamma, d/dsigma Gamma) pair: its depth follows how many elements of
-the block fall in each band of x, so the row can move in its last bits,
-within 1e-15 relative.  The direct sums (_direct_sums)
+does not depend on the rest of the batch, from terms that each take the
+steps of their own band of x in specfun.  So a row gets the same bits in
+any batch.  The direct sums (_direct_sums)
 take, per pair, the images with |q+v| <= r_cut only: of the images the
 plan enumerates, those within r_cut + half_cell_diameter, the rest lie
 beyond r_cut, where the plan's bound already covers every point of any
@@ -240,8 +238,10 @@ class Riesz(_Split):
         # radial factor: -(c1 e^-x + s t) / r^2, c1 = 2 eta^(s/2) / Gamma(s/2)
         radial = np.exp(-x)
         radial *= 2.0 * eta**sig / math.gamma(sig)
-        radial += s * t
-        radial /= r2
+        # it passes the double range a little before r^-s does
+        with np.errstate(over="ignore"):
+            radial += s * t
+            radial /= r2
         return t, np.negative(radial, out=radial)
 
     def direct_majorant(self, eta, r0):
@@ -326,9 +326,12 @@ class LogRiesz(_Split):
         # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
         radial = np.exp(-x)
         radial *= 2.0 * eta**sig / gs * (math.log(eta) - psi)
-        radial += 2.0 * t
-        radial += s * t2
-        radial /= r2
+        # it passes the double range a little before r^-s does, and takes
+        # inf - inf where t2 does
+        with np.errstate(over="ignore", invalid="ignore"):
+            radial += 2.0 * t
+            radial += s * t2
+            radial /= r2
         return t2, np.negative(radial, out=radial)
 
     def direct_majorant(self, eta, r0):
@@ -854,8 +857,11 @@ def _direct_sums(plan, Q, want_grad=False, abs_sums=None):
         if abs_sums is not None:
             abs_sums[rows] = np.bincount(row, np.abs(t), nb)
         if want_grad:
-            for c in range(d):
-                grads[rows, c] = np.bincount(row, R[c].take(kept) * radial, nb)
+            # radial factors beyond double range make inf and 0 * inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                for c in range(d):
+                    grads[rows, c] = np.bincount(
+                        row, R[c].take(kept) * radial, nb)
         # freed before the next block is built, so no two blocks coexist
         del R, r2, kept, row, r2_kept, t, radial
     return values, grads, degenerate
@@ -874,10 +880,8 @@ def evaluate_batch(lat, pot, plan, Q, want_grad=False, abs_sums=None):
     sum of |terms| (direct terms, dual terms and the constant; 0 at
     degenerate rows), which bounds the rounding of the value through the
     family's rel_accuracy.  Every row is reduced in an order that does not
-    depend on the other rows of the batch, so a row's result is the same
-    whichever batch it is evaluated in, but for log-Riesz terms in the
-    continued fraction's bands, whose depth depends on the batch: there a
-    row is the same within 1e-15 relative.
+    depend on the other rows of the batch, so a row's result has the same
+    bits whichever batch it is evaluated in.
     """
     _check_plan(lat, pot, plan)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))

@@ -65,9 +65,6 @@ _SERIES_X = 1.5
 _CF_DEPTHS = ((1.5, 64), (3.0, 36), (8.0, 18), (15.0, 14), (20.0, 10))
 # a power series stops once its terms fall below this relative to the first
 _SERIES_TOL = 1e-17
-# elements whose work in one continued-fraction step costs about as much as
-# the overhead of the numpy calls of that step
-_CALL_ELEMENTS = 1000
 # Taylor terms of (u e^u - expm1 u) / u^2 used for |u| <= 1
 _PHI_TERMS = 18
 
@@ -123,17 +120,23 @@ def _checked(sigma, x):
     return x
 
 
-def _gamma_cf(sigma, x, depth):
+def _gamma_cf(sigma, x, runs):
     """(Gamma, d/dsigma Gamma) from the Legendre continued fraction
     Gamma(sigma, x) = e^-x x^sigma / f_0, with f_n = x + 2n + 1 - sigma -
-    (n+1)(n+1-sigma) / f_(n+1), evaluated backward from f_depth = x + 2 depth
-    + 1 - sigma with its sigma-derivative f_n' carried along: d/dsigma Gamma
-    = Gamma (log x - f_0'/f_0).  x is a float or a float array; an array
-    takes the same steps in place, in three arrays of its size."""
+    (n+1)(n+1-sigma) / f_(n+1), evaluated backward from f_D = x + 2D + 1 -
+    sigma at a depth D with its sigma-derivative f_n' carried along:
+    d/dsigma Gamma = Gamma (log x - f_0'/f_0).
+
+    runs holds (count, depth) pairs, deepest first: the first count
+    elements of x take the first depth, and so on (a float is one run).
+    An array runs one loop from the first depth down, which a run joins at
+    its own depth, each step in place on the prefix of x started so far;
+    so every element takes exactly the steps of its own depth."""
     # both parts of the pair underflow to 0 long before x = 1e4, so
     # clipping there changes no finite result and keeps x = inf finite
     if isinstance(x, float):
         x = min(float(x), 1e4)
+        (_, depth), = runs
         f = x + (2.0 * depth + 1.0 - sigma)
         df = -1.0
         for n in range(depth - 1, -1, -1):
@@ -142,17 +145,24 @@ def _gamma_cf(sigma, x, depth):
             f = (x + (2.0 * n + 1.0 - sigma)) - c
     else:
         x = np.minimum(x, 1e4)
-        f = x + (2.0 * depth + 1.0 - sigma)
+        f = np.empty_like(x)
         df = np.full_like(x, -1.0)
         c = np.empty_like(x)
-        for n in range(depth - 1, -1, -1):
-            np.divide((n + 1.0) * (n + 1.0 - sigma), f, out=c)
-            df *= c
-            df += n + 1.0
-            df /= f
-            df -= 1.0
-            np.add(x, 2.0 * n + 1.0 - sigma, out=f)
-            f -= c
+        starts = {depth: count for count, depth in runs}
+        m = 0
+        for n in range(runs[0][1] - 1, -1, -1):
+            if n + 1 in starts:
+                end = m + starts[n + 1]
+                f[m:end] = x[m:end] + (2.0 * (n + 1) + 1.0 - sigma)
+                m = end
+                xm, fm, dfm, cm = x[:m], f[:m], df[:m], c[:m]
+            np.divide((n + 1.0) * (n + 1.0 - sigma), fm, out=cm)
+            dfm *= cm
+            dfm += n + 1.0
+            dfm /= fm
+            dfm -= 1.0
+            np.add(xm, 2.0 * n + 1.0 - sigma, out=fm)
+            fm -= cm
     logx = np.log(x)
     g = _xpow_exp(sigma, x, logx) / f
     return g, g * (logx - df / f)
@@ -305,49 +315,41 @@ def _gamma_series(sigma, x, want_d=True):
 
 def _gamma_pair(sigma, x):
     """(Gamma(sigma, x), d/dsigma Gamma(sigma, x)) on a checked x: a float
-    goes to its band's formula; an array is split by band, empty bands cost
-    nothing, and small continued-fraction bands share a pass."""
+    goes to its band's formula.  An array is put in band order by one
+    stable sort, so x = 0, the series and each continued-fraction band are
+    consecutive slices; the continued-fraction slice goes to _gamma_cf as
+    one run per band, and empty bands cost nothing."""
     # above sigma = 1.5 the bands move up with sigma: the depth the
     # continued fraction needs follows x - sigma there
     shift = max(sigma - _SERIES_X, 0.0)
     cf = [(lo + shift, depth) for lo, depth in _CF_DEPTHS]
-    edge = cf[0][0]
     if isinstance(x, float):
         if x == 0.0:
             gs = math.gamma(sigma)
             return gs, gs * float(sc.digamma(sigma))
-        if not x >= edge:
+        if not x >= cf[0][0]:
             g, dg = _gamma_series(sigma, np.array([x]))
             return g[0], dg[0]
-        return _gamma_cf(sigma, x, [depth for lo, depth in cf if x >= lo][-1])
+        return _gamma_cf(sigma, x, [(1, [d for lo, d in cf if x >= lo][-1])])
     flat = x.reshape(-1)
     # band 0: x = 0 (sigma > 0); band 1: the series; band 2 + i: cf[i]
     edges = np.array([math.ulp(0.0)] + [lo for lo, _ in cf])
     band = np.searchsorted(edges, flat, side="right")
-    counts = np.bincount(band, minlength=edges.size + 1).tolist()
-    # passes [first band, last band, depth]: a continued-fraction band whose
-    # extra steps at the depth of the pass below it cost less than the numpy
-    # calls of a pass of its own joins that pass
-    passes = [[b, b, 0] for b in (0, 1) if counts[b]]
-    for b, (_, depth) in enumerate(cf, start=2):
-        if not counts[b]:
-            continue
-        below = passes[-1] if passes and passes[-1][0] >= 2 else None
-        if below and counts[b] * (below[2] - depth) < _CALL_ELEMENTS * depth:
-            below[1] = b
-        else:
-            passes.append([b, b, depth])
-    g = np.empty_like(flat)
-    dg = np.empty_like(flat)
-    for first, last, depth in passes:
-        sel = slice(None) if len(passes) == 1 else np.flatnonzero(
-            (band >= first) & (band <= last))
-        if first == 0:
-            g[sel], dg[sel] = _gamma_pair(sigma, 0.0)
-        elif first == 1:
-            g[sel], dg[sel] = _gamma_series(sigma, flat[sel])
-        else:
-            g[sel], dg[sel] = _gamma_cf(sigma, flat[sel], depth)
+    zeros, series, *counts = np.bincount(band, minlength=edges.size + 1).tolist()
+    # as uint8 the stable sort is a radix sort
+    order = np.argsort(band.astype(np.uint8), kind="stable")
+    xs = flat[order]
+    gs, dgs = np.empty_like(xs), np.empty_like(xs)
+    if zeros:
+        gs[:zeros], dgs[:zeros] = _gamma_pair(sigma, 0.0)
+    top = zeros + series
+    if series:
+        gs[zeros:top], dgs[zeros:top] = _gamma_series(sigma, xs[zeros:top])
+    runs = [(k, depth) for k, (_, depth) in zip(counts, cf) if k]
+    if runs:
+        gs[top:], dgs[top:] = _gamma_cf(sigma, xs[top:], runs)
+    g, dg = np.empty_like(xs), np.empty_like(xs)
+    g[order], dg[order] = gs, dgs
     return g.reshape(x.shape), dg.reshape(x.shape)
 
 
@@ -386,10 +388,8 @@ def gamma_upper_dsigma_vec(sigma, x):
     Gamma(sigma) minus the positive lower series, and otherwise a series at
     the order sigma - round(sigma) that stays regular through 0, then the
     differentiated downward recurrence, whose steps all divide by at least
-    1/2.  Below the series edge an element's pair does not depend on the
-    rest of the array; above it a band of x can share a deeper pass with the
-    band below, so an element can move in its last bits (within 1e-15
-    relative) with the array it comes in.
+    1/2.  Each element takes exactly the steps of its own band of x, so
+    its pair does not depend on the rest of the array.
 
     Accuracy against mpmath at 30 digits, Gamma relative and d/dsigma Gamma
     relative to max(|Gamma|, |d/dsigma Gamma|) (it crosses zero), measured

@@ -200,6 +200,14 @@ def test_growth_csv(tmp_path):
         float(f"{float(first[1]):.17g}"), abs=0.0)
 
 
+def test_growth_json_writes_null_for_a_family_without_exponent(capsys):
+    assert run_cli(["growth", "--potential", "log", "--N", "2,3",
+                    "--restarts", "1"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [row[3] for row in rows] == [None, None]
+    assert all(math.isfinite(v) for row in rows for v in row[:3] + row[4:])
+
+
 def test_validate_suite_exit_zero(capsys, tmp_path):
     out = tmp_path / "checks.json"
     code = run_cli(["validate", "--suite", "1d", "--json", str(out)])
@@ -609,14 +617,38 @@ def test_specfun_eval_refuses_nan(fn, args, capsys):
     _assert_one_error_line(capsys)
 
 
-def test_specfun_eval_writes_strict_json_at_infinity(capsys):
-    def strict(text):
-        return json.loads(text, parse_constant=lambda c: pytest.fail(c))
+def _strict_json(text):
+    """The JSON value of text, failing on a bare NaN or Infinity."""
+    return json.loads(text, parse_constant=lambda c: pytest.fail(c))
 
+
+def test_specfun_eval_writes_strict_json_at_infinity(capsys):
     assert run_cli(["specfun-eval", "--fn", "gamma_upper",
                     "--args=0.25,inf"]) == 0
-    payload = strict(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["value"] == 0.0 and payload["args"] == [0.25, "inf"]
     assert run_cli(["specfun-eval", "--fn", "digamma", "--args=inf"]) == 0
-    assert strict(capsys.readouterr().out)["value"] == "inf"
+    assert _strict_json(capsys.readouterr().out)["value"] == "inf"
 
+
+def test_kernel_eval_and_energy_write_strict_json_at_overflow(tmp_path, capsys):
+    # a pair 1e-3 apart at s = 300: r^-s passes the double range, so the
+    # Riesz value is +inf, and the log-Riesz one takes inf - inf
+    pair = ["--lattice", "Z2", "--x", "0.1,0.2", "--y", "0.101,0.2"]
+    assert run_cli(["kernel-eval", "--potential", "riesz:300", *pair]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    assert payload["value"] == "inf" and payload["abs_err_bound"] == "inf"
+    assert run_cli(["kernel-eval", "--potential", "logriesz:300", *pair]) == 1
+    _assert_one_error_line(capsys)
+    points = tmp_path / "p.json"
+    points.write_text("[[0.1,0.2],[0.101,0.2],[0.4,0.6],[0.7,0.9]]")
+    energy = ["energy", "--lattice", "Z2", "--points", str(points), "--gradient"]
+    assert run_cli([*energy, "--potential", "riesz:300"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    assert payload["energy"] == "inf" and payload["gradient"] is None
+    assert run_cli([*energy, "--potential", "logriesz:300"]) == 1
+    _assert_one_error_line(capsys)

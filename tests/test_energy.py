@@ -91,6 +91,20 @@ def test_classical_vs_renormalized_gaussian_shift():
                                            abs=1e-10)
 
 
+@pytest.mark.parametrize("pot", [kn.Riesz(300.0), kn.LogRiesz(300.0)],
+                         ids=lambda p: p.label)
+@pytest.mark.parametrize("gap, finite", [(1e-3, False), (0.095, True)])
+def test_no_gradient_beyond_double_range(pot, gap, finite):
+    # at s = 300 r^-s passes the double range below r = 0.094, and the
+    # gradient's s r^-s / r^2 a little above it; neither writes a warning
+    pts = np.array([[0.1, 0.2], [0.1 + gap, 0.2], [0.4, 0.6], [0.7, 0.9]])
+    plan = kn.plan_ewald(Z2, pot, 1e-10)
+    rep = en.total_energy(en.Configuration(Z2, pts), pot, plan,
+                          with_gradient=True)
+    assert math.isfinite(rep.energy) == finite
+    assert rep.gradient is None
+
+
 def test_gradient_zero_at_equally_spaced():
     for s in (0.5, 2.0):
         pot = kn.Riesz(s)

@@ -1,6 +1,8 @@
 import argparse
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import perisum
 from perisum import cli
@@ -21,3 +23,15 @@ def test_specfun_eval_choices_resolve():
     assert fn.choices
     for name in fn.choices:
         assert callable(getattr(sf, name, None)), name
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # the benchmark's tracer reports a hooked name it cannot find as absent,
+    # and the per-layer numbers that name feeds as null
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.HOOKS
+    for name, (home, attr) in tracer.HOOKS.items():
+        assert callable(getattr(importlib.import_module(home), attr, None)), name

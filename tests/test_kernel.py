@@ -459,6 +459,21 @@ _FAMILIES = (kn.Riesz(0.8), kn.Riesz(1.0), kn.LogRiesz(1.3), kn.Log(),
              kn.Gaussian(0.7))
 
 
+def _rows_as_alone(pot, plan, Q, want_grad):
+    """evaluate_batch over Q, after checking that every row has the same
+    bits as the row evaluated alone."""
+    values, grads, degenerate = kn.evaluate_batch(Z2, pot, plan, Q, want_grad)
+    for i in range(len(Q)):
+        v, g, dg = kn.evaluate_batch(Z2, pot, plan, Q[i:i + 1], want_grad)
+        assert dg[0] == degenerate[i]
+        assert values[i:i + 1].tobytes() == v.tobytes(), i
+        if want_grad:
+            assert grads[i].tobytes() == g[0].tobytes(), i
+        else:
+            assert grads is None and g is None
+    return values, grads, degenerate
+
+
 def _blocked_rows_match(monkeypatch, pot, want_grad, eta):
     plan = kn.plan_ewald(Z2, pot, 1e-10, eta)
     rng = np.random.default_rng(21)
@@ -468,20 +483,9 @@ def _blocked_rows_match(monkeypatch, pot, want_grad, eta):
     # into blocks of 5, 5 and 3
     monkeypatch.setattr(kn, "_BLOCK_PAIR_IMAGES",
                         5 * max(plan.terms_direct, plan.terms_dual))
-    values, grads, degenerate = kn.evaluate_batch(Z2, pot, plan, Q, want_grad)
+    values, grads, degenerate = _rows_as_alone(pot, plan, Q, want_grad)
     assert degenerate.tolist() == [i == 7 for i in range(13)]
     assert (values[7] == math.inf) == (not isinstance(pot, kn.Gaussian))
-    for i in range(13):
-        v, g, dg = kn.evaluate_batch(Z2, pot, plan, Q[i:i + 1], want_grad)
-        assert dg[0] == degenerate[i]
-        if math.isinf(v[0]):
-            assert values[i] == v[0]
-        else:
-            assert abs(values[i] - v[0]) <= 1e-15 * abs(v[0])
-        if want_grad:
-            assert np.all(np.abs(grads[i] - g[0]) <= 1e-15 * np.abs(g[0]))
-        else:
-            assert grads is None and g is None
     if want_grad:
         assert np.array_equal(grads[7], np.zeros(2))
 
@@ -498,6 +502,16 @@ def test_blocked_batch_matches_row_by_row(monkeypatch, pot, want_grad):
 @pytest.mark.parametrize("want_grad", (False, True))
 def test_blocked_batch_matches_row_by_row_at_eta_1(monkeypatch, pot, want_grad):
     _blocked_rows_match(monkeypatch, pot, want_grad, 1.0)
+
+
+@pytest.mark.parametrize("want_grad", (False, True))
+def test_logriesz_rows_keep_their_bits_in_a_long_batch(want_grad):
+    # the (Gamma, d/dsigma Gamma) continued fraction runs each band of x at
+    # its own depth, however many elements of the batch fall in each band
+    pot = kn.LogRiesz(1.3)
+    plan = kn.plan_ewald(Z2, pot, 1e-12, 16.0)
+    Q = Z2.to_cartesian(np.random.default_rng(3).uniform(-0.5, 0.5, (300, 2)))
+    _rows_as_alone(pot, plan, Q, want_grad)
 
 
 def test_gamma_q_half_erfc_branch():

@@ -139,6 +139,29 @@ def test_gamma_upper_small_x_band_elementwise():
             assert sf.gamma_upper_dsigma_vec(sigma, float(x)) == (g[i], dg[i])
 
 
+def test_gamma_pair_continued_fraction_bands_elementwise():
+    # above the series edge each element takes exactly the steps of its own
+    # band's depth, so one x of a band alone gives the bits it gets in a
+    # long array whose deepest band holds thousands of elements
+    rng = np.random.default_rng(8)
+    for sigma in (-3.3, -0.75, 0.25, 1.35, 20.0, 150.0):
+        # the bands [1.5, 3), [3, 8), [8, 15), [15, 20) and [20, inf), moved
+        # up by sigma - 1.5 above sigma = 1.5
+        shift = max(sigma - 1.5, 0.0)
+        probes = shift + np.array([2.0, 5.0, 10.0, 17.0, 30.0, 400.0, 1e5])
+        xs = np.concatenate([shift + rng.uniform(1.5, 3.0, 3000),
+                             rng.uniform(1e-3, 1.5 + shift, 50), probes])
+        if sigma > 0.0:
+            xs[:10] = 0.0
+        rng.shuffle(xs)
+        g, dg = sf.gamma_upper_dsigma_vec(sigma, xs)
+        for x in probes:
+            i = np.flatnonzero(xs == x)[0]
+            one, done = sf.gamma_upper_dsigma_vec(sigma, np.array([x]))
+            assert one.tobytes() == g[i:i + 1].tobytes(), (sigma, x)
+            assert done.tobytes() == dg[i:i + 1].tobytes(), (sigma, x)
+
+
 def test_gamma_upper_small_x_band_at_zero():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
