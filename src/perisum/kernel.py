@@ -78,6 +78,7 @@ cost, the direct images plus _DUAL_TERM_COST times the dual terms, over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -302,18 +303,28 @@ class LogRiesz(_Split):
     def label(self):
         return f"logriesz:{_param_text(self.s)}"
 
+    @functools.cached_property
+    def _psi(self):
+        """psi(s/2), which every term, coefficient, majorant and the
+        constant take: one scipy call per potential, not per use."""
+        return sf.digamma(0.5 * self.s)
+
     def direct_terms(self, eta, r, want_grad=False):
         s = self.s
         sig = 0.5 * s
         gs = math.gamma(sig)
-        psi = sf.digamma(sig)
+        psi = self._psi
         r2 = r * r
         x = eta * r2
         # t = Q(s/2, x) r^-s and t2 = d/dsigma Gamma r^-s / Gamma(s/2)
         # - (2 log r + psi) t, from one (Gamma, d/dsigma Gamma) pass
         t, t2 = sf.gamma_upper_dsigma_vec(sig, x)
-        # where r^-s passes the double range (as in Riesz.direct_terms) t2
-        # takes inf - inf: the term is NaN, and an energy with it is rejected
+        # where r^-s passes the double range (as in Riesz.direct_terms) the
+        # parts of t2 overflow and it takes inf - inf.  There r < 1, where
+        # the term is positive (d/dsigma Gamma - (2 log r + psi) Gamma is
+        # the integral of t^(sigma-1) e^-t (log(t / r^2) - psi) over t >= x,
+        # and both its part at 2 log r = 0 and -2 log r Gamma are positive):
+        # the term is +inf, and an energy with it is rejected
         with np.errstate(over="ignore", invalid="ignore"):
             rpow = np.power(r, -s)
             rpow /= gs
@@ -321,6 +332,9 @@ class LogRiesz(_Split):
             t2 *= rpow
             t2 -= 2.0 * np.log(r) * t
             t2 -= psi * t
+        overflowed = np.isnan(t2)
+        if overflowed.any():
+            t2 = np.where(overflowed, np.inf, t2)
         if not want_grad:
             return t2, None
         # 2 d/ds of the Riesz radial factor, with 2 dc1/ds = c1 (log eta - psi)
@@ -339,7 +353,7 @@ class LogRiesz(_Split):
         # Gamma at x = eta r^2, shift = log eta - psi(s/2): the Riesz
         # majorant with _dsigma_factor in place of _gamma_factor
         sig = 0.5 * self.s
-        k = _dsigma_factor(sig, eta * r0 * r0, math.log(eta) - sf.digamma(sig))
+        k = _dsigma_factor(sig, eta * r0 * r0, math.log(eta) - self._psi)
         return k * eta ** (sig - 1.0) / math.gamma(sig), -2.0, eta
 
     def direct_grad_majorant(self, eta, r0):
@@ -348,7 +362,7 @@ class LogRiesz(_Split):
         sig = 0.5 * self.s
         riesz = Riesz(self.s).direct_majorant(eta, r0)[0]
         own = self.direct_majorant(eta, r0)[0]
-        c1 = 2.0 * eta**sig / math.gamma(sig) * abs(math.log(eta) - sf.digamma(sig))
+        c1 = 2.0 * eta**sig / math.gamma(sig) * abs(math.log(eta) - self._psi)
         return c1 + (2.0 * riesz + self.s * own) / (r0 * r0), -1.0, eta
 
     def dual_coeffs(self, eta, d, k):
@@ -359,15 +373,14 @@ class LogRiesz(_Split):
         power = pref * np.power(pk, s - d)
         g, dg = sf.gamma_upper_dsigma_vec((d - s) / 2.0, z)
         a = power * g
-        return 2.0 * a * np.log(pk) - a * sf.digamma(s / 2.0) - power * dg
+        return 2.0 * a * np.log(pk) - a * self._psi - power * dg
 
     def dual_majorant(self, eta, d, k0):
         # minus the same bracket at z = (pi k)^2 / eta, with 2 log(pi k) =
         # log z + log eta
         sig = (d - self.s) / 2.0
         rate = math.pi**2 / eta
-        k = _dsigma_factor(sig, rate * k0 * k0,
-                           math.log(eta) - sf.digamma(self.s / 2.0))
+        k = _dsigma_factor(sig, rate * k0 * k0, math.log(eta) - self._psi)
         pref = math.pi ** (d / 2.0) / math.gamma(self.s / 2.0)
         return k * pref * eta ** (1.0 - sig) / math.pi**2, -2.0, rate
 
@@ -375,9 +388,8 @@ class LogRiesz(_Split):
         s = self.s
         u = s - d
         a = 0.5 * math.log(eta)
-        psi = sf.digamma(s / 2.0)
         return (4.0 * math.pi ** (d / 2.0) / math.gamma(s / 2.0)
-                * (_expm1_over_du(u, a) - 0.5 * _expm1_over(u, a) * psi))
+                * (_expm1_over_du(u, a) - 0.5 * _expm1_over(u, a) * self._psi))
 
 
 @dataclass(frozen=True)
@@ -575,36 +587,69 @@ def _tail_bound(majorant, radius, cell, d):
     / (2 rate^((m+1)/2)), x = rate R^2, each at most _gamma_factor((m+1)/2,
     x) R^(m-1) e^-x / (2 rate).
     """
-    coeff, power, rate = majorant
-    x = rate * radius * radius
-    if 2.0 * x < power:
-        return math.inf
-    inner = 0.0
-    for k in range(d):
-        m = power + k
-        inner += (math.comb(d - 1, k) * cell ** (d - 1 - k)
-                  * _gamma_factor(0.5 * (m + 1.0), x) * radius ** (m - 1.0))
-    return _ball_volume(d) * coeff * math.exp(-x) * (
-        (radius + cell) ** d * radius**power + d * inner / (2.0 * rate))
+    return _tail_bounder(cell, d)(majorant, radius)
 
 
-def _cutoff(tail, target, r_max, which, rel=1e-6):
+def _tail_bounder(cell, d):
+    """_tail_bound at one cell and dimension as a function of (majorant,
+    radius), with V_d, the binomial-times-cell-power weights of (rho +
+    cell)^(d-1) and, per majorant power, the orders and exponents of the
+    integrals taken once; every float it returns is the one _tail_bound
+    gives."""
+    volume = _ball_volume(d)
+    weights = [math.comb(d - 1, k) * cell ** (d - 1 - k) for k in range(d)]
+    integrals = {}  # power -> [(weight, order (m+1)/2, exponent m-1)]
+
+    def bound(majorant, radius):
+        coeff, power, rate = majorant
+        x = rate * radius * radius
+        if 2.0 * x < power:
+            return math.inf
+        terms = integrals.get(power)
+        if terms is None:
+            terms = integrals[power] = [
+                (weight, 0.5 * (power + k + 1.0), power + k - 1.0)
+                for k, weight in enumerate(weights)]
+        inner = 0.0
+        for weight, order, exponent in terms:
+            if order > 1.0:  # _gamma_factor is 1 up to order 1
+                weight *= _gamma_factor(order, x)
+            inner += weight * radius**exponent
+        return volume * coeff * math.exp(-x) * (
+            (radius + cell) ** d * radius**power + d * inner / (2.0 * rate))
+
+    return bound
+
+
+def _cutoff(tail, target, r_max, which, rel=1e-6, bracket=None):
     """Bisect for the smallest radius (to rel relative) at which tail(radius)
-    <= target; returns the radius and its tail.  A NaN or infinite tail
-    counts as missing the target."""
-    lo, hi = 0.0, 1.0
-    while not tail(hi) <= target:
-        if hi >= r_max:
-            raise UnreachableTolerance(
-                f"{which} cutoff for a tail of {target:g} exceeds the shell budget")
-        lo, hi = hi, min(2.0 * hi, r_max)
+    <= target.  Returns the radius, its tail, and the final bracket (lo,
+    hi, tail(hi)).  A NaN or infinite tail counts as missing the target.
+
+    The bisection doubles hi from 1 until its tail meets the target, then
+    halves the bracket until hi - lo <= rel hi.  Its states do not depend
+    on rel, so a coarse bisection's final bracket is a state of every finer
+    one: given as bracket, the bisection resumes there and returns the
+    radius a bisection from the start would."""
+    if bracket is None:
+        lo, hi = 0.0, 1.0
+        hi_tail = tail(hi)
+        while not hi_tail <= target:
+            if hi >= r_max:
+                raise UnreachableTolerance(
+                    f"{which} cutoff for a tail of {target:g} exceeds the shell budget")
+            lo, hi = hi, min(2.0 * hi, r_max)
+            hi_tail = tail(hi)
+    else:
+        lo, hi, hi_tail = bracket
     while hi - lo > rel * hi:
         mid = 0.5 * (lo + hi)
-        if tail(mid) <= target:
-            hi = mid
+        mid_tail = tail(mid)
+        if mid_tail <= target:
+            hi, hi_tail = mid, mid_tail
         else:
             lo = mid
-    return hi, tail(hi)
+    return hi, hi_tail, (lo, hi, hi_tail)
 
 
 def _rounding_floor(lat, pot, eta):
@@ -620,9 +665,11 @@ def _rounding_floor(lat, pot, eta):
     return _EPS * max(mags)
 
 
-def _cutoffs(lat, pot, tol, eta, rel=1e-6):
+def _cutoffs(lat, pot, tol, eta, rel=1e-6, brackets=(None, None)):
     """(r_cut, direct tail, k_cut, dual tail) of plan_ewald at one eta, in
-    closed form and bisected to rel, without enumerating a vector."""
+    closed form and bisected to rel, without enumerating a vector, and the
+    two final brackets, from which a finer bisection at this eta resumes
+    (_cutoff); brackets resumes from those of a coarser one."""
     d = lat.dimension
     cell = lat.half_cell_diameter
     # at least V_d r^d vectors lie within r + cell (their cells cover the
@@ -630,21 +677,25 @@ def _cutoffs(lat, pot, tol, eta, rel=1e-6):
     # vectors within k
     r_max = (_SHELL_BUDGET / _ball_volume(d)) ** (1.0 / d)
 
-    r_cut, direct_tail = _cutoff(
-        lambda r: _tail_bound(pot.direct_majorant(eta, r), r, cell, d),
-        tol / 2.0, r_max, "direct", rel)
+    bound = _tail_bounder(cell, d)
+    r_cut, direct_tail, direct_bracket = _cutoff(
+        lambda r: bound(pot.direct_majorant(eta, r), r),
+        tol / 2.0, r_max, "direct", rel, brackets[0])
     k_cut = dual_tail = 0.0
+    dual_bracket = None
     if pot.split:
         dual_cell = lat.dual_half_cell_diameter
-        k_cut, dual_tail = _cutoff(
-            lambda k: _tail_bound(pot.dual_majorant(eta, d, k), k, dual_cell, d),
-            tol / 2.0, r_max + dual_cell, "dual", rel)
-    return r_cut, direct_tail, k_cut, dual_tail
+        bound = _tail_bounder(dual_cell, d)
+        k_cut, dual_tail, dual_bracket = _cutoff(
+            lambda k: bound(pot.dual_majorant(eta, d, k), k),
+            tol / 2.0, r_max + dual_cell, "dual", rel, brackets[1])
+    return r_cut, direct_tail, k_cut, dual_tail, (direct_bracket, dual_bracket)
 
 
 def _cheapest_eta(lat, pot, tol, n_points=None):
     """The eta of _ETA_LADDER whose plan costs least, from cutoffs counted in
-    closed form (V_d, common to every count, is dropped).
+    closed form (V_d, common to every count, is dropped), and the final
+    brackets of its cutoffs' bisections, from which plan_ewald resumes.
 
     Without n_points the cost is per pair, over the first _PAIR_RUNGS
     rungs: D + _DUAL_TERM_COST K, with D = (r_cut + cell)^d direct images
@@ -658,15 +709,16 @@ def _cheapest_eta(lat, pot, tol, n_points=None):
     out of reach or whose tail bound overflows (exponents s of a few
     hundred), or that lies below its own rounding floor, is skipped
     (the floors are taken cheapest rung first, so usually once); if every
-    rung is, the answer is 1, whose plan then raises."""
+    rung is, the answer is 1, whose plan then raises, with no brackets."""
     d = lat.dimension
     cell = lat.half_cell_diameter
     costs = []
+    brackets = {}
     rises = 0
     ladder = _ETA_LADDER if n_points is not None else _ETA_LADDER[:_PAIR_RUNGS]
     for eta in ladder:
         try:
-            r_cut, _, k_cut, _ = _cutoffs(lat, pot, tol, eta, rel=1e-2)
+            r_cut, _, k_cut, _, brackets[eta] = _cutoffs(lat, pot, tol, eta, rel=1e-2)
         except (UnreachableTolerance, OverflowError):
             continue
         if n_points is None:
@@ -681,8 +733,8 @@ def _cheapest_eta(lat, pot, tol, n_points=None):
             break
     for _, eta in sorted(costs):
         if tol >= _rounding_floor(lat, pot, eta):
-            return eta
-    return 1.0
+            return eta, brackets[eta]
+    return 1.0, (None, None)
 
 
 def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
@@ -726,8 +778,12 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
             isinstance(n_points, (int, np.integer)) and n_points >= 2):
         raise InvalidParameter(
             f"n_points must be an integer of at least 2, got {n_points!r}")
+    brackets = (None, None)
     if eta is None:
-        eta = _cheapest_eta(lat, pot, tol, n_points) if pot.split else 1.0
+        if pot.split:
+            eta, brackets = _cheapest_eta(lat, pot, tol, n_points)
+        else:
+            eta = 1.0
     if not (math.isfinite(eta) and eta > 0.0):
         raise InvalidParameter(f"eta must be a positive finite number, got {eta}")
     d = lat.dimension
@@ -737,7 +793,8 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
         if tol < floor:
             raise UnreachableTolerance(
                 f"tol={tol:g} is below the rounding floor {floor:.2g} of the sum")
-        r_cut, direct_tail, k_cut, dual_tail = _cutoffs(lat, pot, tol, eta)
+        r_cut, direct_tail, k_cut, dual_tail, _ = _cutoffs(lat, pot, tol, eta,
+                                                           brackets=brackets)
         direct_grad_tail = _tail_bound(pot.direct_grad_majorant(eta, r_cut),
                                        r_cut, cell, d)
         dual_grad_tail = 0.0

@@ -9,7 +9,9 @@ generator).
 
 box_blocks is the one walk over lattice vectors: it covers the integer box
 around a ball in blocks of bounded size.  Order-free sums walk it directly,
-and enumerate_shells filters it to the ball for the Ewald plan.
+and enumerate_shells filters it to the ball for the Ewald plan.  A box that
+fits in one block, as every plan's box on the presets does, is built in one
+vectorised pass; a point B k has the same bits in every block split.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ __all__ = [
 # reduction into the half-open cell is idempotent
 _SNAP = 1e-15
 
-# most points in one block of box_blocks: 1 MiB per float coordinate array
-_BOX_BLOCK = 1 << 17
+# most points in one block of box_blocks: 256 KiB per float coordinate
+# array, so a block and the temporaries summed over it stay in cache
+_BOX_BLOCK = 1 << 15
 
 # raw (pre-normalization) bases for the named presets; columns are generators
 PRESETS = {
@@ -114,15 +117,24 @@ class Lattice:
         return float(np.max(np.linalg.norm(self.basis, axis=0)))
 
     @functools.cached_property
+    def _box_scales(self):
+        """Per walk, the row norms of the inverse of its basis: |k_i| <=
+        scale_i |B k|.  The dual basis's inverse is the direct basis's
+        transpose, so its rows are the direct columns."""
+        # np.linalg.norm's own sum, without its argument checks
+        return {"direct": np.sqrt(np.add.reduce(self._inv_basis**2, axis=1)).tolist(),
+                "dual": np.sqrt(np.add.reduce(self.basis**2, axis=0)).tolist()}
+
+    @functools.cached_property
     def _min_dual_norm(self):
         """min_dual_norm: the shortest dual generator is itself a candidate,
         so scanning the integer box of radius min(dual column norms) is
-        provably sufficient."""
-        bound = float(np.min(np.linalg.norm(self.dual_basis, axis=0)))
+        provably sufficient (the dual columns are the rows of the inverse
+        basis, whose norms _box_scales holds)."""
         r2 = math.inf
-        for block in box_blocks(self, "dual", bound):
-            b2 = sum(c * c for c in block)
-            r2 = min(r2, float(np.min(b2, initial=math.inf, where=b2 > 0.0)))
+        for block in box_blocks(self, "dual", min(self._box_scales["direct"])):
+            b2 = sum(block * block)
+            r2 = min(r2, float(b2[b2 > 0.0].min(initial=math.inf)))
         return math.sqrt(r2)
 
     # -- serialization -----------------------------------------------------
@@ -147,12 +159,19 @@ class Lattice:
         return f"Lattice(d={self.dimension}, basis={self.basis.tolist()})"
 
 
+@functools.cache
+def _cube_corners(d):
+    """The 2^d corners of [-1/2, 1/2]^d, one per row, read-only."""
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=d)))
+    corners.flags.writeable = False
+    return corners
+
+
 def _corner_radius(basis):
     """max |basis f| over the cube f in [-1/2, 1/2]^d.  The norm is convex in
     f, so a corner of the cube attains the maximum."""
-    d = basis.shape[0]
-    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=d)))
-    return float(np.max(np.linalg.norm(corners @ basis.T, axis=1)))
+    p = _cube_corners(basis.shape[0]) @ basis.T
+    return math.sqrt(float(np.add.reduce(p * p, axis=1).max()))
 
 
 def lattice_from_basis(raw_basis):
@@ -185,16 +204,17 @@ def _integer_box(lattice, which, radius):
     holds every k with |B k| <= radius (|k_i| <= |row i of inv(B)| |B k|).
     A box of more than 2e7 points (a large radius, or a skewed basis whose
     box is far wider than its ball) raises InvalidParameter before any
-    point is built."""
+    point is built, and so does a radius that is not finite."""
     if which not in ("direct", "dual"):
         raise ValueError("which must be 'direct' or 'dual'")
     basis = lattice.basis if which == "direct" else lattice.dual_basis
-    row_norms = np.linalg.norm(np.linalg.inv(basis), axis=1)
-    bound = np.ceil(row_norms * radius + 1e-9).astype(int)
-    if np.prod(2.0 * bound + 1.0) > 2e7:
+    reach = [scale * radius + 1e-9 for scale in lattice._box_scales[which]]
+    # one half-width of 1e7 alone makes more than 2e7 points
+    if not (all(r < 1e7 for r in reach)
+            and math.prod(2 * math.ceil(r) + 1 for r in reach) <= 2e7):
         raise InvalidParameter(f"the integer box for radius {radius:.3g} has "
                                "more than 2e7 points")
-    return basis, bound
+    return basis, np.array([math.ceil(r) for r in reach])
 
 
 def enumerate_shells(lat, which, max_radius):
@@ -204,52 +224,72 @@ def enumerate_shells(lat, which, max_radius):
     ball are symmetric and B(-k) is the exact negation of B k, so the
     origin is the middle row, row n-1-i is the negation of row i, and the
     rows after the middle are the k whose first nonzero coordinate is
-    positive, one of each sign pair."""
+    positive, one of each sign pair.  |v|^2 adds the squared coordinates
+    in order, the sum np.linalg.norm takes over a row of up to seven."""
     if max_radius < 0:
         raise ValueError("max_radius must be >= 0")
     limit = max_radius * (1.0 + 1e-12) + 1e-300
-    kept = []
-    for block in box_blocks(lat, which, max_radius):
-        v = np.stack([c.reshape(-1) for c in block], axis=1)
-        kept.append(v[np.linalg.norm(v, axis=1) <= limit])
-    return np.concatenate(kept)
+    kept = [np.compress(np.sqrt(sum(v * v)) <= limit, v, axis=1)
+            for v in box_blocks(lat, which, max_radius)]
+    v = kept[0] if len(kept) == 1 else np.concatenate(kept, axis=1)
+    return np.ascontiguousarray(v.T)
 
 
 def box_blocks(lat, which, radius):
-    """The integer box that holds the ball |B k| <= radius, as a generator
-    of blocks, each the d coordinate arrays of B k over at most _BOX_BLOCK
-    integer points k, unfiltered, that together cover the box once in the
-    lexicographic order of k.  Order-free sums of terms that are small
-    outside the ball walk it directly; enumerate_shells cuts the ball from
-    it.  _integer_box refuses a box of more than 2e7 points here, before
-    any block is built."""
+    """The integer box that holds the ball |B k| <= radius, as an iterable
+    of blocks, each a (d, n) array of B k over at most _BOX_BLOCK integer
+    points k (row i the i-th coordinates), unfiltered, that together
+    cover the box once in the lexicographic order of k.  Order-free sums of
+    terms that are small outside the ball walk it directly;
+    enumerate_shells cuts the ball from it.  _integer_box refuses a box of
+    more than 2e7 points here, before any block is built."""
     return _box_walk(*_integer_box(lat, which, radius))
 
 
 def _box_walk(basis, bound):
     """Blocks of box_blocks over the integer box |k_i| <= bound[i].
 
-    The box is split along its first axis j whose trailing box, axes j+1..,
-    fits in a block: for every point of the leading axes (just one, the
-    empty one, unless the box is very lopsided), runs of consecutive
-    coordinates k_j are added to the trailing part of B k, built once from
-    np.ix_ open grids.  In d = 1 the blocks are chunks of the axis.  Only
-    the trailing part and the current block are built, never a whole axis.
+    A box of at most _BOX_BLOCK points is one block, built in one pass.  A
+    larger box is split along its first axis j whose trailing box, axes
+    j+1.., fits in a block: for every point of the leading axes (just one,
+    the empty one, unless the box is very lopsided), runs of consecutive
+    coordinates k_j span a block with the whole trailing box.  In d = 1
+    the blocks are chunks of the axis.  Only the trailing axes' values and
+    the current block are built, never a whole axis of a split box.
     """
-    d = len(bound)
-    sizes = 2 * bound + 1
-    j = next(j for j in range(d) if math.prod(sizes[j + 1:]) <= _BOX_BLOCK)
+    bound = bound.tolist()
+    sizes = [2 * b + 1 for b in bound]
+    if math.prod(sizes) <= _BOX_BLOCK:
+        return (_box_points(basis, [np.arange(-b, b + 1.0) for b in bound]),)
+    return _split_walk(basis, bound, sizes)
+
+
+def _split_walk(basis, bound, sizes):
+    """The blocks of a box larger than one block, as _box_walk splits it."""
+    j = next(j for j in range(len(sizes))
+             if math.prod(sizes[j + 1:]) <= _BOX_BLOCK)
     step = _BOX_BLOCK // math.prod(sizes[j + 1:])
-    grids = np.ix_(*[np.arange(-b, b + 1, dtype=float) for b in bound[j + 1:]])
-    trailing = [sum(b * g for b, g in zip(row[j + 1:], grids)) for row in basis]
-    run_shape = (-1,) + (1,) * (d - j - 1)
+    trailing = [np.arange(-b, b + 1.0) for b in bound[j + 1:]]
     for lead in itertools.product(*[range(-b, b + 1) for b in bound[:j]]):
-        offset = basis[:, :j] @ np.array(lead, dtype=float)
-        part = [t + o for t, o in zip(trailing, offset)] if j else trailing
         for lo in range(-bound[j], bound[j] + 1, step):
-            hi = min(lo + step, bound[j] + 1)
-            run = np.arange(lo, hi, dtype=float).reshape(run_shape)
-            yield [row[j] * run + t for row, t in zip(basis, part)]
+            run = np.arange(lo, min(lo + step, bound[j] + 1), dtype=float)
+            yield _box_points(basis, [*lead, run, *trailing])
+
+
+def _box_points(basis, coords):
+    """B k over the integer points k that coords spans, a (d, n) array in
+    the lexicographic order of k: coords holds per axis of k either one
+    integer, fixed over the block, or a 1-d float array of its values.
+    Each coordinate of B k is summed in one association, B_0 k_0 + (((0 +
+    B_1 k_1) + B_2 k_2) + ...), whichever of the coords are fixed, so a
+    point gets the same bits in any block.  The trailing sum grows one
+    axis at a time, and the last add runs over the whole trailing box."""
+    d = len(coords)
+    trailing = np.zeros((d, 1, 1))
+    for column, k in zip(basis.T[1:], coords[1:]):
+        trailing = (trailing + (column[:, None] * k)[:, None, :]).reshape(d, -1, 1)
+    first = (basis[:, 0, None] * coords[0])[:, :, None]
+    return (first + trailing.reshape(d, 1, -1)).reshape(d, -1)
 
 
 def min_dual_norm(lat):

@@ -63,6 +63,10 @@ _BERNOULLI_OVER_FACT = [
 # band's lower edge for sigma in [-3.3, 20].
 _SERIES_X = 1.5
 _CF_DEPTHS = ((1.5, 64), (3.0, 36), (8.0, 18), (15.0, 14), (20.0, 10))
+# while at most this many elements of a continued-fraction array have
+# started, they step as floats: a ufunc call costs about as much as eight
+# elements' float steps
+_CF_FLOAT_ELEMENTS = 8
 # a power series stops once its terms fall below this relative to the first
 _SERIES_TOL = 1e-17
 # Taylor terms of (u e^u - expm1 u) / u^2 used for |u| <= 1
@@ -110,9 +114,11 @@ def _checked(sigma, x):
     lies in the domain of Gamma(sigma, .); NaN passes through."""
     if not math.isfinite(sigma):
         raise InvalidParameter(f"Gamma(sigma, x) needs a finite sigma, got {sigma}")
-    if not isinstance(x, float):
+    if isinstance(x, float):
+        lo = x
+    else:
         x = np.asarray(x, dtype=float)
-    lo = np.min(x, initial=np.inf)
+        lo = np.minimum.reduce(x, axis=None, initial=np.inf)
     if lo < 0.0:
         raise InvalidParameter(f"Gamma(sigma, x) needs x >= 0, got x = {lo}")
     if lo == 0.0 and sigma <= 0.0:
@@ -131,41 +137,74 @@ def _gamma_cf(sigma, x, runs):
     elements of x take the first depth, and so on (a float is one run).
     An array runs one loop from the first depth down, which a run joins at
     its own depth, each step in place on the prefix of x started so far;
-    so every element takes exactly the steps of its own depth."""
+    so every element takes exactly the steps of its own depth.  While at
+    most _CF_FLOAT_ELEMENTS elements have started, they step as floats
+    (_cf_float), which give the bits of the array steps at a fraction of
+    the cost of a ufunc call on a few elements; so an array of at most
+    that many elements never steps as an array."""
     # both parts of the pair underflow to 0 long before x = 1e4, so
     # clipping there changes no finite result and keeps x = inf finite
     if isinstance(x, float):
         x = min(float(x), 1e4)
         (_, depth), = runs
-        f = x + (2.0 * depth + 1.0 - sigma)
-        df = -1.0
-        for n in range(depth - 1, -1, -1):
-            c = (n + 1.0) * (n + 1.0 - sigma) / f
-            df = ((n + 1.0) + c * df) / f - 1.0
-            f = (x + (2.0 * n + 1.0 - sigma)) - c
+        f, df = _cf_float(sigma, x, depth, 0)
     else:
         x = np.minimum(x, 1e4)
         f = np.empty_like(x)
         df = np.full_like(x, -1.0)
+        # the runs that step as floats, down to the depth where the next
+        # run joins (0 if none is left)
+        m = head = 0
+        while head < len(runs) and m + runs[head][0] <= _CF_FLOAT_ELEMENTS:
+            m += runs[head][0]
+            head += 1
+        stop = runs[head][1] if head < len(runs) else 0
+        depths = [depth for count, depth in runs[:head] for _ in range(count)]
+        for i, (xi, depth) in enumerate(zip(x[:m].tolist(), depths)):
+            f[i], df[i] = _cf_float(sigma, xi, depth, stop)
+        starts = {depth: count for count, depth in runs[head:]}
         c = np.empty_like(x)
-        starts = {depth: count for count, depth in runs}
-        m = 0
-        for n in range(runs[0][1] - 1, -1, -1):
+        xm, fm, dfm, cm = x[:m], f[:m], df[:m], c[:m]
+        steps = _cf_steps(sigma)
+        for n in range(stop - 1, -1, -1):
             if n + 1 in starts:
                 end = m + starts[n + 1]
                 f[m:end] = x[m:end] + (2.0 * (n + 1) + 1.0 - sigma)
                 m = end
                 xm, fm, dfm, cm = x[:m], f[:m], df[:m], c[:m]
-            np.divide((n + 1.0) * (n + 1.0 - sigma), fm, out=cm)
+            a, b, e = steps[n]
+            np.divide(a, fm, out=cm)
             dfm *= cm
-            dfm += n + 1.0
+            dfm += b
             dfm /= fm
             dfm -= 1.0
-            np.add(xm, 2.0 * n + 1.0 - sigma, out=fm)
+            np.add(xm, e, out=fm)
             fm -= cm
     logx = np.log(x)
     g = _xpow_exp(sigma, x, logx) / f
     return g, g * (logx - df / f)
+
+
+def _cf_float(sigma, x, depth, stop):
+    """(f_stop, f_stop') of _gamma_cf for one float x started at depth:
+    the steps n = depth-1 ... stop of the array loop, each operation on
+    the same operands, so the same bits."""
+    f = x + (2.0 * depth + 1.0 - sigma)
+    df = -1.0
+    for a, b, e in reversed(_cf_steps(sigma)[stop:depth]):
+        c = a / f
+        df = (b + c * df) / f - 1.0
+        f = (x + e) - c
+    return f, df
+
+
+@lru_cache(maxsize=32)
+def _cf_steps(sigma):
+    """The constants of the continued fraction's step n at the order
+    sigma, for n below the deepest depth: ((n+1)(n+1-sigma), n+1,
+    2n+1-sigma).  Built at first use per order."""
+    return tuple(((n + 1.0) * (n + 1.0 - sigma), n + 1.0, 2.0 * n + 1.0 - sigma)
+                 for n in range(_CF_DEPTHS[0][1]))
 
 
 def _xpow_exp(sigma, x, logx):

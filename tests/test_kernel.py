@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -812,6 +813,63 @@ def test_plan_bounds_recompute_from_fields(name):
                 (dual, duals, plan.k_cut, plan.dual_tail_bound)):
             out = rho[rho > radius]
             assert float(np.sum(a * out**p * np.exp(-alpha * out**2))) <= bound
+
+
+# the kernel-eval potentials of the benchmark's checks grid
+_CHECKS_POTENTIALS = ("riesz:0.5", "riesz:1", "riesz:2.5", "logriesz:0.5",
+                      "logriesz:1.7", "log", "gaussian:0.5", "gaussian:2")
+_PLAN_FLOATS = ("eta", "r_cut", "k_cut", "direct_tail_bound", "dual_tail_bound",
+                "direct_grad_tail_bound", "dual_grad_tail_bound", "eta_constant")
+_PLAN_ARRAYS = ("direct_vectors", "dual_vectors_half", "dual_norms_half",
+                "dual_coeffs_half")
+
+
+def _plan_bytes(plan):
+    return ([np.float64(getattr(plan, f)).tobytes() for f in _PLAN_FLOATS]
+            + [getattr(plan, f).tobytes() for f in _PLAN_ARRAYS])
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "hex", "fcc-like"])
+def test_chosen_eta_plan_equals_the_plan_at_that_eta(name, monkeypatch):
+    # without eta, each cutoff's final bisection resumes from the bracket
+    # the eta ladder's 1e-2 bisection left at the chosen eta, a state of
+    # every finer bisection: the plan equals the one built at that eta,
+    # field by field and bitwise, per pair and priced for 32 or 500 points
+    resumed = []
+    cutoff = kn._cutoff
+
+    def spy(*args, **kwargs):
+        resumed.append(args[-1] is not None)
+        return cutoff(*args, **kwargs)
+
+    monkeypatch.setattr(kn, "_cutoff", spy)
+    lat = lattice_preset(name)
+    for text in _CHECKS_POTENTIALS:
+        pot = kn.parse_potential(text)
+        for tol in (1e-6, 1e-10, 1e-12):
+            for n_points in (None, 32, 500):
+                resumed.clear()
+                plan = kn.plan_ewald(lat, pot, tol, n_points=n_points)
+                # the plan's two cutoffs are the last two bisections, and
+                # they resume (the Gaussian plans at eta = 1, no ladder)
+                assert resumed[-2:] == [pot.split] * (2 if pot.split else 1)
+                fixed = kn.plan_ewald(lat, pot, tol, plan.eta)
+                assert _plan_bytes(plan) == _plan_bytes(fixed), (text, tol, n_points)
+
+
+def test_logriesz_term_is_inf_where_its_parts_overflow():
+    # r^-300 passes the double range at r = 1e-3 and the parts of the term
+    # take inf - inf; the term, positive below r = 1, is +inf there
+    pot = kn.LogRiesz(300.0)
+    r = np.array([1e-3, 0.05, 0.5, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, _ = pot.direct_terms(1.0, r)
+    assert t[0] == math.inf and t[1] == math.inf
+    assert np.all(np.isfinite(t[2:])) and np.all(t[2:] > 0.0)
+    values, _, _ = kn.evaluate_batch(Z1, pot, kn.plan_ewald(Z1, pot, 1e-10),
+                                     np.array([[1e-3], [0.3]]))
+    assert values[0] == math.inf and math.isfinite(values[1])
 
 
 def test_plan_rejects_out_of_domain_parameters():

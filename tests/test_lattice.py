@@ -124,6 +124,38 @@ def test_box_blocks_below_one_slab(name, monkeypatch):
         assert np.count_nonzero(np.max(np.abs(small - v), axis=1) <= 1e-12) == 1
 
 
+# skewed bases, where the association of B k's terms decides its bits
+_SKEWED = {"shear-2": [[1.0, 3.0], [0.0, 1.0]],
+           "shear-3": [[1.0, 0.3, 2.0], [0.0, 1.0, 0.7], [0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + sorted(_SKEWED))
+def test_shells_bitwise_independent_of_block_size(name, monkeypatch):
+    # each point B k is summed in one association, B_0 k_0 + ((0 + B_1 k_1)
+    # + B_2 k_2), whatever the block split: the ball comes out with the
+    # same bits from one block, from blocks of whole slabs and from blocks
+    # below one slab
+    lat = lattice_from_basis(_SKEWED.get(name, PRESETS.get(name)))
+    one = {(which, radius): enumerate_shells(lat, which, radius)
+           for which in ("direct", "dual") for radius in (0.0, 1.0, 2.5, 4.0)}
+    for (which, radius), v in one.items():
+        basis = lat.basis if which == "direct" else lat.dual_basis
+        k = np.rint(np.linalg.solve(basis, v.T).T)
+        terms = [k[:, j, None] * basis[:, j] for j in range(lat.dimension)]
+        trailing = 0.0
+        for t in terms[1:]:
+            trailing = trailing + t
+        assert v.tobytes() == (terms[0] + trailing).tobytes()
+    for block in (1 << 17, 1 << 9, 3):
+        monkeypatch.setattr(lattice_module, "_BOX_BLOCK", block)
+        for (which, radius), v in one.items():
+            again = enumerate_shells(lat, which, radius)
+            assert again.shape == v.shape and again.tobytes() == v.tobytes()
+    # at 3 points a block holds less than one slab of the d >= 2 boxes
+    blocks = list(box_blocks(lat, "direct", 4.0))
+    assert len(blocks) > 1 and max(b.shape[1] for b in blocks) <= 3
+
+
 def test_box_vectors_guard():
     with pytest.raises(ValueError, match="2e7"):
         box_blocks(lattice_preset("Z3"), "direct", 200.0)

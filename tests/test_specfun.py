@@ -160,6 +160,16 @@ def test_gamma_pair_continued_fraction_bands_elementwise():
             one, done = sf.gamma_upper_dsigma_vec(sigma, np.array([x]))
             assert one.tobytes() == g[i:i + 1].tobytes(), (sigma, x)
             assert done.tobytes() == dg[i:i + 1].tobytes(), (sigma, x)
+        # while at most eight elements have started, an array steps as
+        # floats: arrays of one to nine elements, drawn from every band,
+        # take both sides of that switch and keep each element's bits
+        pool = np.union1d([np.flatnonzero(xs == x)[0] for x in probes], np.arange(24))
+        for size in range(1, 10):
+            for _ in range(4):
+                pick = rng.choice(pool, size, replace=False)
+                few, dfew = sf.gamma_upper_dsigma_vec(sigma, xs[pick])
+                assert few.tobytes() == g[pick].tobytes(), (sigma, size)
+                assert dfew.tobytes() == dg[pick].tobytes(), (sigma, size)
 
 
 def test_gamma_upper_small_x_band_at_zero():
