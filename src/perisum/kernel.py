@@ -73,7 +73,10 @@ counted in closed form from those cutoffs, is least: given the number of
 points N (n_points), the cost of one energy, N^2/2 pair-images plus N K/2
 structure-factor phases, over 1, 2, 4, ..., 4096; otherwise the per-pair
 cost, the direct images plus _DUAL_TERM_COST times the dual terms, over
-1, ..., 128.  kernel_value(plan, x, y) is the one single-pair entry point.
+1, ..., 128; the rungs' cutoffs are bisected to 1e-2, and the chosen
+rung's resume from there (_cutoff), so the plan has the bits of a plan
+given that eta.  kernel_value(plan, x, y) is the one single-pair entry
+point.
 """
 
 from __future__ import annotations

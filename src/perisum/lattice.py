@@ -260,36 +260,49 @@ def _box_walk(basis, bound):
     bound = bound.tolist()
     sizes = [2 * b + 1 for b in bound]
     if math.prod(sizes) <= _BOX_BLOCK:
-        return (_box_points(basis, [np.arange(-b, b + 1.0) for b in bound]),)
+        axes = [np.arange(-b, b + 1.0) for b in bound]
+        return (_box_points(basis, axes[0], _trailing_sum(basis, axes)),)
     return _split_walk(basis, bound, sizes)
 
 
 def _split_walk(basis, bound, sizes):
-    """The blocks of a box larger than one block, as _box_walk splits it."""
+    """The blocks of a box larger than one block, as _box_walk splits it;
+    with no leading axis (j = 0) the trailing sum is built once."""
     j = next(j for j in range(len(sizes))
              if math.prod(sizes[j + 1:]) <= _BOX_BLOCK)
     step = _BOX_BLOCK // math.prod(sizes[j + 1:])
-    trailing = [np.arange(-b, b + 1.0) for b in bound[j + 1:]]
+    axes = [np.arange(-b, b + 1.0) for b in bound[j + 1:]]
+    slab = _trailing_sum(basis, [None, *axes]) if j == 0 else None
     for lead in itertools.product(*[range(-b, b + 1) for b in bound[:j]]):
         for lo in range(-bound[j], bound[j] + 1, step):
             run = np.arange(lo, min(lo + step, bound[j] + 1), dtype=float)
-            yield _box_points(basis, [*lead, run, *trailing])
+            coords = [*lead, run, *axes]
+            trailing = slab if j == 0 else _trailing_sum(basis, coords)
+            yield _box_points(basis, coords[0], trailing)
 
 
-def _box_points(basis, coords):
-    """B k over the integer points k that coords spans, a (d, n) array in
-    the lexicographic order of k: coords holds per axis of k either one
-    integer, fixed over the block, or a 1-d float array of its values.
-    Each coordinate of B k is summed in one association, B_0 k_0 + (((0 +
-    B_1 k_1) + B_2 k_2) + ...), whichever of the coords are fixed, so a
-    point gets the same bits in any block.  The trailing sum grows one
-    axis at a time, and the last add runs over the whole trailing box."""
-    d = len(coords)
-    trailing = np.zeros((d, 1, 1))
+def _trailing_sum(basis, coords):
+    """((0 + B_1 k_1) + B_2 k_2) + ... over the integer points (k_1, ...)
+    that coords[1:] spans, a (d, m) array in their lexicographic order:
+    coords holds per axis of k either one integer, fixed over the block,
+    or a 1-d float array of its values.  The sum grows one axis at a
+    time."""
+    d = basis.shape[0]
+    total = np.zeros((d, 1, 1))
     for column, k in zip(basis.T[1:], coords[1:]):
-        trailing = (trailing + (column[:, None] * k)[:, None, :]).reshape(d, -1, 1)
-    first = (basis[:, 0, None] * coords[0])[:, :, None]
-    return (first + trailing.reshape(d, 1, -1)).reshape(d, -1)
+        total = (total + (column[:, None] * k)[:, None, :]).reshape(d, -1, 1)
+    return total.reshape(d, -1)
+
+
+def _box_points(basis, k0, trailing):
+    """B k = B_0 k_0 + trailing over every k_0 (an integer or a 1-d float
+    array of values) and every point of trailing (_trailing_sum), a (d, n)
+    array in the lexicographic order of k.  Each coordinate of B k is
+    summed in this one association, B_0 k_0 + (((0 + B_1 k_1) + B_2 k_2)
+    + ...), whichever axes a block fixes, so a point gets the same bits in
+    any block."""
+    first = (basis[:, 0, None] * k0)[:, :, None]
+    return (first + trailing[:, None, :]).reshape(basis.shape[0], -1)
 
 
 def min_dual_norm(lat):
