@@ -254,8 +254,9 @@ def _box_walk(basis, bound):
     j+1.., fits in a block: for every point of the leading axes (just one,
     the empty one, unless the box is very lopsided), runs of consecutive
     coordinates k_j span a block with the whole trailing box.  In d = 1
-    the blocks are chunks of the axis.  Only the trailing axes' values and
-    the current block are built, never a whole axis of a split box.
+    the blocks are chunks of the axis.  Only the trailing box (at most a
+    block) and the current block are built, never a whole axis of a split
+    box.
     """
     bound = bound.tolist()
     sizes = [2 * b + 1 for b in bound]
