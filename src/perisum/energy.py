@@ -8,7 +8,8 @@ S(w) = sum_j exp(2 pi i w.x_j), which costs O(N K) instead of O(N^2 K),
 and is what lets the planner's default eta move work from the direct to
 the reciprocal sum.  The gradient is taken with respect to the fractional
 coordinates (chain rule through the lattice basis), which is also the
-parametrization the L-BFGS minimizer works in.
+parametrization the minimizer works in: an L-BFGS in plain numpy
+(_CompactLBFGS, _line_search, _relax) that imports no optimization library.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 _JITTER_GAP = 1e-6     # fractional pair distance that triggers start jitter
+_MEMORY = 20           # L-BFGS correction pairs kept
+_MAX_MOVE = 0.1        # largest fractional move on a line search's first trial
+_ARMIJO = 1e-4         # sufficient-decrease constant of the line search
+_MAX_TRIALS = 20       # energy evaluations per line search
 
 
 @dataclass
@@ -220,69 +225,168 @@ def _jitter_degenerate(lat, pts, rng):
     return pts
 
 
-def _relax(plan, pts0, max_iters, tol_grad):
-    """L-BFGS (Liu & Nocedal 1989) on the flattened fractional coordinates.
+class _CompactLBFGS:
+    """The L-BFGS inverse Hessian over the last m correction pairs (s, y),
+    in the compact form of Byrd, Nocedal & Schnabel (Math. Prog. 63, 1994):
 
-    The energy is periodic, so the iterates are never reduced mid-run
-    (Configuration reduces each trial on its own); only the returned points
-    are.  Returns (points, energy, converged, energy_trajectory); the
-    trajectory is the start energy, then the energy after each iteration,
-    and the line search's sufficient-decrease test keeps it non-increasing.
-    With max_iters < 1, or when the run ends on a trial it rejected, the
-    start comes back unrelaxed and not converged.
+        H = c I + [S  c Y] [[R^-T (D + c Y^T Y) R^-1, -R^-T], [-R^-1, 0]]
+                [S  c Y]^T,
+
+    with c = s^T y / y^T y of the newest pair, R the upper triangle of S^T Y
+    (pairs oldest first) and D its diagonal.
+
+    The pairs sit in a ring of m slots, rows of S and Y, and R^-1 is kept in
+    slot order instead of R.  Dropping the oldest pair zeroes its slot's row
+    and column of R^-1: the inverse of a trailing block of a triangular
+    matrix is that block of its inverse.  Appending a pair fills its slot's
+    column with -R^-1 r / s^T y (r = S y) and 1 / s^T y, as
+    [[R, r], [0, s^T y]]^-1 = [[R^-1, -R^-1 r / s^T y], [0, 1 / s^T y]].  A
+    slot whose row and column of R^-1 are zero takes no part in a
+    direction, so a direction costs a few (m x n) products and no solve."""
+
+    def __init__(self, m, n):
+        self.m, self.k, self.slot = m, 0, 0
+        self.S = np.zeros((m, n))
+        self.Y = np.zeros((m, n))
+        self.Rinv = np.zeros((m, m))
+        self.YY = np.zeros((m, m))
+        self.D = np.zeros(m)
+        self.gamma = 1.0
+
+    def clear(self):
+        self.Rinv[:] = 0.0
+        self.k = self.slot = 0
+
+    def direction(self, g):
+        """-H g, or None with no pairs kept; NaN or inf entries where a
+        product left the double range."""
+        if self.k == 0:
+            return None
+        S, Y, Rinv, c = self.S, self.Y, self.Rinv, self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = Rinv @ (S @ g)
+            w = (self.D * u + c * (self.YY @ u - Y @ g)) @ Rinv
+            return c * (u @ Y - g) - w @ S
+
+    def update(self, s, y):
+        """Keep the pair (s, y) in place of the oldest once m are kept.  A
+        pair with s^T y <= 0 would make H indefinite, and one with |y|^2
+        beyond the double range undefined: either is skipped.  Products of
+        kept pairs that still leave the double range show as a non-finite
+        direction, which _relax answers by clearing the memory."""
+        j, Rinv = self.slot, self.Rinv
+        with np.errstate(over="ignore", invalid="ignore"):
+            yy = float(y @ y)
+            sy = float(s @ y)
+            if not (sy > 0.0 and yy < math.inf):
+                return
+            Rinv[j] = Rinv[:, j] = 0.0
+            self.S[j], self.Y[j] = s, y
+            col = Rinv @ (self.S @ y)
+            col *= -1.0 / sy
+            col[j] = 1.0 / sy
+            Rinv[:, j] = col
+            self.YY[j] = self.YY[:, j] = self.Y @ y
+        self.D[j] = sy
+        self.gamma = sy / yy
+        self.slot = (j + 1) % self.m
+        self.k = min(self.k + 1, self.m)
+
+
+def _line_search(evaluate, x, e, g, d, step):
+    """Backtrack from step along the descent direction d to a trial
+    (x, e, g) that has a gradient and passes the sufficient-decrease
+    (Armijo) test, or return None: when d is no descent direction, after
+    _MAX_TRIALS trials, or once the step no longer moves x.
+
+    Where the decrease the test asks for is below the rounding of e, the
+    energy cannot rank trials, and a trial must also bring the slope along
+    d closer to zero: near a minimum that is what lets the gradient fall to
+    tol_grad, and at the rounding floor of a steep energy (exponents of a
+    few hundred) it keeps the points from drifting on noise.  A rejected
+    trial with an energy shrinks the step to the minimizer of the quadratic
+    through e, the slope and that energy, kept in [0.1, 0.5] of the step;
+    one without a gradient shrinks it tenfold."""
+    slope = float(g @ d)
+    if not slope < 0.0:
+        return None
+    for _ in range(_MAX_TRIALS):
+        x_new = x + step * d
+        if np.array_equal(x_new, x):
+            return None
+        e_new, g_new = evaluate(x_new)
+        if g_new is None:
+            step *= 0.1
+            continue
+        want = e + _ARMIJO * step * slope
+        if e_new <= want and (want < e or abs(float(g_new @ d)) < -slope):
+            return x_new, e_new, g_new
+        # e_new > e + step * slope here, so the quadratic is convex
+        q = -0.5 * slope * step / (e_new - e - step * slope)
+        step *= min(max(q, 0.1), 0.5)
+    return None
+
+
+def _relax(plan, pts0, max_iters, tol_grad):
+    """L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989) on the flattened
+    fractional coordinates, with _MEMORY correction pairs.
+
+    Each iteration backtracks along the direction -H g of _CompactLBFGS
+    from the unit step, shortened so that no coordinate moves more than
+    _MAX_MOVE of the cell on the first trial.  With no pairs kept, or when
+    that line search fails, the memory is cleared and the first trial is -g
+    scaled by _MAX_MOVE / max|g|: no square of the gradient is formed,
+    which at exponents of a few hundred would leave the double range.  When
+    that line search fails too, the run ends.  The energy is periodic, so
+    the iterates are never reduced mid-run (Configuration reduces each
+    trial on its own); only the returned points are.
+
+    Returns (points, energy, converged, energy_trajectory); the trajectory
+    is the start energy, then the energy after each iteration, which the
+    line search keeps non-increasing.  The run
+    stops when max|g| <= tol_grad or after max_iters iterations; with
+    max_iters < 1, or a start without a gradient, the start comes back
+    unrelaxed and not converged.  converged needs a run that stopped before
+    max_iters with max|g| below tol_grad, or below the floor 1e-7 (1 + |E|)
+    where a line search at double precision finds no descent left.
     """
     lat, pot = plan.lattice, plan.potential
-    if max_iters < 1:
-        e = total_energy(Configuration(lat, pts0), pot, plan).energy
-        return lat.reduce_frac(pts0), e, False, [e]
-    # imported here: scipy.optimize stays off the import path of perisum
-    from scipy.optimize import minimize as scipy_minimize
-
     shape = pts0.shape
-    traj = []
-    last = [None]
 
-    def energy_and_gradient(x):
-        # a trial beyond double range (a step along gradients of ~1e199 at
-        # exponents of a few hundred) is no configuration
-        e = math.inf
-        if np.isfinite(x).all():
-            rep = total_energy(Configuration(lat, x.reshape(shape)), pot, plan,
-                               with_gradient=True)
-            e = rep.energy
-        last[0] = e
-        if not traj:
-            traj.append(e)
-        if not math.isfinite(e) or rep.gradient is None:
-            # a coincident pair, or terms beyond double precision (r^-s at
-            # exponents of a few hundred): +inf fails every sufficient-
-            # decrease test, so the line search never accepts this trial
-            return math.inf, np.zeros(x.size)
-        return e, rep.gradient.ravel()
+    def evaluate(x):
+        rep = total_energy(Configuration(lat, x.reshape(shape)), pot, plan,
+                           with_gradient=True)
+        # no gradient when the energy is not finite (a coincident pair,
+        # terms beyond double range) or the gradient passes the double range
+        return rep.energy, None if rep.gradient is None else rep.gradient.ravel()
 
-    # L-BFGS-B calls back after each iteration with the iterate it last
-    # evaluated; a one-argument callback gets it as an ndarray on every
-    # supported scipy, so the energy is taken from that last evaluation
-    res = scipy_minimize(
-        energy_and_gradient, pts0.ravel(), jac=True, method="L-BFGS-B",
-        callback=lambda xk: traj.append(last[0]),
-        options={"maxcor": 20, "gtol": tol_grad, "ftol": 0.0,
-                 "maxiter": max_iters})
-    e = float(res.fun)
-    if not math.isfinite(e):
-        # L-BFGS-B can end on a rejected trial (a step along gradients near
-        # the double limit): return the start, which the first evaluation
-        # priced
-        return lat.reduce_frac(pts0), traj[0], False, traj[:1]
-    gnorm = float(np.max(np.abs(res.jac)))
-    # decided from the returned gradient, never from scipy's status, which
-    # can report convergence after a +inf trial far from any minimum.  A
-    # run that stops before max_iters has met gtol or found no certifiable
-    # descent left at double precision; the latter counts when the gradient
-    # sits at the fp floor of the energy.
-    converged = (res.nit < max_iters and math.isfinite(e)
-                 and gnorm < max(tol_grad, 1e-7 * (1.0 + abs(e))))
-    return lat.reduce_frac(res.x.reshape(shape)), e, converged, traj
+    x = pts0.ravel()
+    e, g = evaluate(x)
+    traj = [e]
+    gmax = math.inf if g is None else float(np.max(np.abs(g)))
+    memory = _CompactLBFGS(_MEMORY, x.size)
+    it = 0
+    while g is not None and it < max_iters and gmax > tol_grad:
+        step = None
+        d = memory.direction(g)
+        if d is not None:
+            dmax = float(np.max(np.abs(d)))
+            if 0.0 < dmax < math.inf:
+                step = _line_search(evaluate, x, e, g, d,
+                                    min(1.0, _MAX_MOVE / dmax))
+        if step is None:
+            memory.clear()
+            step = _line_search(evaluate, x, e, g, g / -gmax, _MAX_MOVE)
+        if step is None:
+            break
+        x_new, e, g_new = step
+        memory.update(x_new - x, g_new - g)
+        x, g = x_new, g_new
+        gmax = float(np.max(np.abs(g)))
+        traj.append(e)
+        it += 1
+    converged = it < max_iters and gmax < max(tol_grad, 1e-7 * (1.0 + abs(e)))
+    return lat.reduce_frac(x.reshape(shape)), e, converged, traj
 
 
 def minimize(lat, pot, n, restarts=4, max_iters=2000, seed=0, tol_grad=None,

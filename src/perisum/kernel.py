@@ -844,16 +844,16 @@ def plan_ewald(lat, pot, tol, eta=None, *, n_points=None):
 def min_image_difference(lat, x, y):
     """Minimum-image Cartesian representative of x - y, sign-canonicalized
     (first nonzero fractional coordinate made positive) so that swapping x
-    and y reproduces the identical representative.  Non-finite points raise
+    and y reproduces the identical representative.  x and y are points or
+    (..., d) batches, taken row by row.  Non-finite points raise
     InvalidParameter."""
     diff = np.asarray(x, float) - np.asarray(y, float)
     if not np.all(np.isfinite(diff)):
         raise InvalidParameter("points must be finite")
     f = lat.to_fractional(diff)
     f = f - np.round(f)
-    nz = np.nonzero(np.abs(f) > 0.0)[0]
-    if nz.size and f[nz[0]] < 0.0:
-        f = -f
+    first = np.take_along_axis(f, np.argmax(f != 0.0, axis=-1)[..., None], -1)
+    f = np.where(first < 0.0, -f, f)
     return lat.to_cartesian(f)
 
 

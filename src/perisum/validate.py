@@ -259,11 +259,9 @@ def check_convexity_1d(s):
     """
     lat = lattice_preset("Z1")
     plan = kn.plan_ewald(lat, kn.Riesz(s), 1e-12)
-    zero = np.zeros(1)
 
     def kernel_on(points):
-        q_min = np.stack([kn.min_image_difference(lat, np.array([q]), zero)
-                          for q in points])
+        q_min = kn.min_image_difference(lat, points[:, None], np.zeros(1))
         vals, _, _ = kn.evaluate_batch(lat, kn.Riesz(s), plan, q_min)
         return vals
 

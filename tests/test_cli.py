@@ -262,8 +262,9 @@ def test_minimize_payload_matches_stored_output(tmp_path):
     # minimize --lattice Z2 --potential riesz:1 --N 4 --restarts 2 --seed 3
     # --max-iters 200 as written before the plan was taken from the
     # MinimizeResult instead of being rebuilt for the provenance block;
-    # points written again by the L-BFGS minimizer, which lands on the x<->y
-    # mirror image (plus a translation) of the gradient-descent minimum
+    # points written again by the in-package L-BFGS, which lands on a torus
+    # translation of the points scipy's L-BFGS-B wrote, with the same
+    # best_energy and restart_energies bit for bit
     stored = json.loads(
         (Path(__file__).parent / "data" / "minimize_z2_riesz1.json").read_text())
     out = tmp_path / "m.json"
@@ -303,6 +304,13 @@ def test_minimize_payload_matches_stored_output(tmp_path):
                             kn.Riesz(1.0), fresh).energy
         assert abs(e - payload["best_energy"]) <= (
             1e-12 * abs(payload["best_energy"]))
+    # the stored points are a minimum of the stored energy: they re-evaluate
+    # to best_energy, with a gradient within minimize's default tol_grad
+    rep = en.total_energy(en.Configuration(z2, np.array(stored["points"])),
+                          kn.Riesz(1.0), fresh, with_gradient=True)
+    assert abs(rep.energy - stored["best_energy"]) <= (
+        1e-12 * abs(stored["best_energy"]))
+    assert np.max(np.abs(rep.gradient)) <= 1e-8 * 4 * 4
     # and best_energy is within its plan's bound of the energy of its
     # points on a tol-1e-15 plan
     rep = en.total_energy(en.Configuration(z2, np.array(payload["points"])),
@@ -541,7 +549,11 @@ def test_energy_records_requested_eta_for_gaussian(tmp_path):
 def test_cli_import_leaves_out_integrate_and_optimize():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    # a minimization too runs without scipy.optimize
     probe = ("import sys, perisum.cli; "
+             "from perisum import energy, lattice, kernel; "
+             "energy.minimize(lattice.lattice_preset('Z2'), kernel.Riesz(1.0), "
+             "4, restarts=1); "
              "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
              "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -592,10 +604,14 @@ def test_large_exponents_evaluate(potential, capsys):
     assert captured.err == ""
     assert json.loads(captured.out)["best_energy"] == pytest.approx(
         6.0 * lead(1.0 / 3.0), rel=1e-12)
-    # on Z2 the first step along gradients of ~1e150 and more leaves the
-    # double range; minimize still ends on points whose energy it reports
-    assert run_cli(["minimize", "--lattice", "Z2", "--potential", potential,
-                    "--N", "3", "--restarts", "1"]) == 0
+    # on Z2 the random start has gradients of ~1e150 and more, whose
+    # squares leave the double range; minimize descends from it and ends on
+    # points whose energy it reports, converged only at a stationary point
+    minimize_z2 = ["minimize", "--lattice", "Z2", "--potential", potential,
+                   "--N", "3", "--restarts", "1"]
+    assert run_cli([*minimize_z2, "--max-iters", "0"]) == 0
+    start = json.loads(capsys.readouterr().out)["best_energy"]
+    assert run_cli(minimize_z2) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     payload = json.loads(captured.out)
@@ -603,9 +619,13 @@ def test_large_exponents_evaluate(potential, capsys):
     plan = kn.plan_ewald(z2, pot, 1e-10, n_points=3)
     assert payload["plan"] == json.loads(json.dumps(plan.to_json_dict()))
     assert math.isfinite(payload["best_energy"])
-    e = en.total_energy(en.Configuration(z2, np.array(payload["points"])), pot,
-                        plan).energy
-    assert e == pytest.approx(payload["best_energy"], rel=1e-12)
+    assert payload["best_energy"] < 1e-50 * start
+    rep = en.total_energy(en.Configuration(z2, np.array(payload["points"])),
+                          pot, plan, with_gradient=True)
+    assert rep.energy == pytest.approx(payload["best_energy"], rel=1e-12)
+    if payload["converged"]:
+        assert np.max(np.abs(rep.gradient)) < max(
+            1e-8 * 3 * 3, 1e-7 * (1.0 + abs(rep.energy)))
 
 
 @pytest.mark.parametrize("fn, args", [

@@ -420,6 +420,50 @@ def test_minimize_converged_is_honest(monkeypatch):
     flagged_restarts_sit_at_the_floor()
 
 
+def test_relax_reaches_the_1d_law_bit_for_bit():
+    # from random starts the L-BFGS reaches the exact minimum of 8 points at
+    # s = 0.5, and a second run from the same start repeats every bit
+    pot = kn.Riesz(0.5)
+    plan = kn.plan_ewald(Z1, pot, 1e-12, n_points=8)
+    law = vd.riesz_1d_minimum(8, 0.5)
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        start = rng.random((8, 1))
+        pts, e, conv, traj = en._relax(plan, start, 2000, 1e-8 * 8 * 8)
+        assert conv and abs(e - law) <= 1e-9 * abs(law)
+        again = en._relax(plan, start, 2000, 1e-8 * 8 * 8)
+        assert np.array_equal(again[0], pts) and again[1:] == (e, conv, traj)
+
+
+def test_compact_lbfgs_matches_the_two_loop_recursion():
+    # -H g from the compact form against the two-loop recursion (Nocedal &
+    # Wright, Numerical Optimization, Algorithm 7.4) on the pairs it keeps:
+    # the newest m, without the ones with s^T y <= 0
+    rng = np.random.default_rng(6)
+    n, m = 7, 3
+    memory = en._CompactLBFGS(m, n)
+    kept = []
+    for i in range(8):
+        s = rng.standard_normal(n)
+        y = -s if i == 4 else s + 0.5 * rng.standard_normal(n)
+        memory.update(s, y)
+        if s @ y > 0.0:
+            kept = [*kept, (s, y)][-m:]
+        g = rng.standard_normal(n)
+        q, alphas = g.copy(), []
+        for s_i, y_i in reversed(kept):
+            alphas.append((s_i @ q) / (s_i @ y_i))
+            q -= alphas[-1] * y_i
+        s_k, y_k = kept[-1]
+        r = (s_k @ y_k) / (y_k @ y_k) * q
+        for (s_i, y_i), a in zip(kept, reversed(alphas)):
+            r += s_i * (a - (y_i @ r) / (s_i @ y_i))
+        assert memory.k == len(kept)
+        assert np.allclose(memory.direction(g), -r, rtol=1e-12, atol=0.0)
+    memory.clear()
+    assert memory.direction(g) is None
+
+
 def test_minimize_jitters_degenerate_start():
     # seed the structured start with n = m^d suppressed: random starts with
     # coincident points must be jittered, not crash

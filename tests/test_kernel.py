@@ -449,6 +449,17 @@ def test_min_image_difference_canonical():
     assert np.allclose(q, [0.1, -0.2], atol=1e-15)
     q2 = kn.min_image_difference(Z2, np.zeros(2), np.array([0.9, 0.2]))
     assert np.array_equal(q, q2)
+    # a batch is canonicalized row by row; on Z1, as check_convexity_1d
+    # uses it, each row is the single-point result bit for bit
+    x = np.array([[0.9, 0.2], [0.0, 0.7], [0.5, 0.0], [0.3, 0.3]])
+    rows = kn.min_image_difference(Z2, x, np.zeros(2))
+    assert np.allclose(rows, [[0.1, -0.2], [0.0, 0.3], [0.5, 0.0],
+                              [0.3, 0.3]], atol=1e-15)
+    assert np.array_equal(rows, kn.min_image_difference(Z2, np.zeros(2), x))
+    q1 = np.linspace(-1.5, 1.5, 61)[:, None]
+    assert np.array_equal(
+        kn.min_image_difference(Z1, q1, np.zeros(1)),
+        [kn.min_image_difference(Z1, q, np.zeros(1)) for q in q1])
 
 
 # ---------------------------------------------------------------------------
