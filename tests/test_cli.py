@@ -596,14 +596,18 @@ def test_large_exponents_evaluate(potential, capsys):
                     "--x", "0.2,0.1", "--y", "0,0"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
         lead(math.sqrt(0.05)), rel=1e-12)
-    # three equally spaced points, the structured start, are the minimum;
-    # the trials whose r^-s overflows write no warning
+    # three equally spaced points, the structured start, are the minimum,
+    # and a converged one: trials that lower the energy only by rounding
+    # must not walk away from it; the trials whose r^-s overflows write no
+    # warning
     assert run_cli(["minimize", "--potential", potential, "--N", "3",
                     "--restarts", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert json.loads(captured.out)["best_energy"] == pytest.approx(
-        6.0 * lead(1.0 / 3.0), rel=1e-12)
+    payload = json.loads(captured.out)
+    assert payload["best_energy"] == pytest.approx(6.0 * lead(1.0 / 3.0),
+                                                   rel=1e-12)
+    assert payload["converged"] is True
     # on Z2 the random start has gradients of ~1e150 and more, whose
     # squares leave the double range; minimize descends from it and ends on
     # points whose energy it reports, converged only at a stationary point
